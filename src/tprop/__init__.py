@@ -11,13 +11,7 @@ from .activations import ACTIVATIONS, get_activation
 from .gru import GruParams, gru_bptt, gru_forward, gru_tp_backward, init_gru_params
 from .linalg import SingularSystem, factorization_count, orthogonal_init, ridge_pinv
 from .rnn import MSE, SOFTMAX_CE, ForwardCache, RnnParams, bptt, forward, init_params, loss
-from .targetprop import (
-    TpHyper,
-    backward_targets,
-    backward_targets_dtp,
-    backward_targets_exact,
-    tp_direction,
-)
+from .targetprop import TpHyper, backward_targets, tp_direction
 from .trainer import ExperimentConfig, MetricsLog, TrainResult, grid_search, train
 
 __version__ = "0.1.0"
@@ -35,8 +29,6 @@ __all__ = [
     "TpHyper",
     "TrainResult",
     "backward_targets",
-    "backward_targets_dtp",
-    "backward_targets_exact",
     "bptt",
     "factorization_count",
     "forward",

@@ -10,7 +10,13 @@ enforce that with a range check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, logit
+
+
+def sigmoid(u):
+    """1 / (1 + exp(-u)); exp overflows to inf for very negative u, which
+    correctly gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 class OutOfRange(ValueError):
@@ -98,17 +104,17 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def apply(self, u):
-        return expit(u)
+        return sigmoid(u)
 
     def deriv(self, u):
-        s = expit(u)
+        s = sigmoid(u)
         return s * (1.0 - s)
 
     def projected_range(self, eps):
         return (eps, 1.0 - eps)
 
     def _inverse(self, v):
-        return logit(v)
+        return np.log(v) - np.log1p(-v)
 
     def _inv_deriv(self, v):
         return 1.0 / (v * (1.0 - v))

@@ -15,7 +15,7 @@ line and the test suite exercise the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -269,8 +269,9 @@ def dtp_linearization_gap(
     gaps = []
     for gh in gamma_hs:
         hyper = TpHyper(gamma_h=float(gh), gamma_theta=0.0, r=r, epsilon=eps)
-        lin = targetprop.backward_targets(params, cache, y, hyper)
-        dtp = targetprop.backward_targets_dtp(params, cache, y, hyper)
+        fd = replace(hyper, variant=targetprop.FINITE_DIFFERENCE)
+        lin = targetprop.tp_direction(params, cache, y, hyper)
+        dtp = targetprop.tp_direction(params, cache, y, fd)
         sq = sum(float(np.sum((lin[n] - dtp[n]) ** 2)) for n in THETA_H)
         gaps.append(np.sqrt(sq))
     return gaps

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import linalg, rnn
+from .activations import sigmoid
 from .linalg import DimensionMismatch
 from .rnn import CacheMismatch, Direction, SOFTMAX_CE, OUTPUT_KINDS
 from .targetprop import TpHyper
@@ -134,8 +134,8 @@ def gru_forward(params: GruParams, x_seq: np.ndarray) -> GruCache:
     h = hs[0]
     for t in range(tau):
         x = x_seq[t]
-        m = expit(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
-        z = expit(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
+        m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
+        z = sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
         av = params.W_hn @ h + params.b_hn[:, None]
         n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
         h = (1.0 - z) * h + z * n
@@ -195,23 +195,40 @@ def _accumulate_step(d: Direction, cache, t, dh):
     return dzeta, dmu, da
 
 
+def _sweep(params: GruParams, cache: GruCache, signal: np.ndarray, propagate) -> Direction:
+    """One backward pass over the time axis, for BPTT and the TP rule.
+
+    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau;
+    ``propagate(t, dh, dzeta, dmu, da)`` maps the one at h_{t+1} to the one
+    at h_t, given the step's preactivation deltas. The output head is left
+    at zero for the caller.
+    """
+    d = _zero_direction(params)
+    dh = signal
+    for t in range(cache.tau - 1, -1, -1):
+        dzeta, dmu, da = _accumulate_step(d, cache, t, dh)
+        if t > 0:
+            dh = propagate(t, dh, dzeta, dmu, da)
+    return d
+
+
+def _transposed_jacobian(params: GruParams, cache: GruCache):
+    """BPTT's propagator: the true transposed Jacobian of h_t in h_{t-1}."""
+    return lambda t, g, dzeta, dmu, da: (
+        (1.0 - cache.zs[t]) * g
+        + params.W_hz.T @ dzeta
+        + params.W_hm.T @ dmu
+        + params.W_hn.T @ da
+    )
+
+
 def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
     _check_cache(params, cache)
     dz_out = rnn.output_delta(y, cache)
-    grad = _zero_direction(params)
+    grad = _sweep(params, cache, params.W_hy.T @ dz_out, _transposed_jacobian(params, cache))
     grad["W_hy"] = dz_out @ cache.hs[-1].T
     grad["b_y"] = dz_out.sum(axis=1)
-    g = params.W_hy.T @ dz_out
-    for t in range(cache.tau - 1, -1, -1):
-        dzeta, dmu, da = _accumulate_step(grad, cache, t, g)
-        if t > 0:
-            g = (
-                (1.0 - cache.zs[t]) * g
-                + params.W_hz.T @ dzeta
-                + params.W_hm.T @ dmu
-                + params.W_hn.T @ da
-            )
     return grad
 
 
@@ -223,6 +240,29 @@ def gru_precompute(params: GruParams, r: float):
     return V_m, V_z, V_n
 
 
+def _linearized_inverse(cache: GruCache, Vs, eps: float):
+    """TP's propagator: each transposed-Jacobian piece replaced by the
+    linearized regularized inverse of its gate map. Gate values are clipped
+    to [eps, 1-eps] before the logit derivative 1/(v(1-v)) is evaluated."""
+    V_m, V_z, V_n = Vs
+
+    def propagate(t, dh, dzeta, dmu, da):
+        z, m, n, av = cache.zs[t], cache.ms[t], cache.ns[t], cache.avs[t]
+        tanhp = 1.0 - n * n
+        zc = np.clip(z, eps, 1.0 - eps)
+        mc = np.clip(m, eps, 1.0 - eps)
+        inv_dz = 1.0 / (zc * (1.0 - zc))
+        inv_dm = 1.0 / (mc * (1.0 - mc))
+        return (
+            (1.0 - z) * dh
+            + V_z @ (inv_dz * (n - cache.hs[t]) * dh)
+            + V_m @ (inv_dm * av * tanhp * z * dh)
+            + V_n @ (m * tanhp * z * dh)
+        )
+
+    return propagate
+
+
 def gru_tp_backward(
     params: GruParams,
     cache: GruCache,
@@ -232,9 +272,7 @@ def gru_tp_backward(
 ) -> Direction:
     """Displacement backward pass through the three gate inverses.
 
-    The state recursion replaces each transposed-Jacobian piece with the
-    linearized regularized inverse of its gate map; gate values are clipped
-    to [eps, 1-eps] before the logit derivative 1/(v(1-v)) is evaluated.
+    The state recursion uses the linearized inverses of the gate maps.
     Parameter directions chain the displacement through the true parameter
     Jacobians, and the output head gets its negated plain gradient. Exactly
     three factorizations per call.
@@ -244,36 +282,13 @@ def gru_tp_backward(
     -gamma_h times :func:`gru_bptt`.
     """
     _check_cache(params, cache)
-    V_m, V_z, V_n = gru_precompute(params, hyper.r)
-    eps = hyper.epsilon
+    Vs = gru_precompute(params, hyper.r)
     dz_out = rnn.output_delta(y, cache)
-    d = _zero_direction(params)
+    if debug_true_jacobian:
+        propagate = _transposed_jacobian(params, cache)
+    else:
+        propagate = _linearized_inverse(cache, Vs, hyper.epsilon)
+    d = _sweep(params, cache, -hyper.gamma_h * (params.W_hy.T @ dz_out), propagate)
     d["W_hy"] = -(dz_out @ cache.hs[-1].T)
     d["b_y"] = -dz_out.sum(axis=1)
-    dh = -hyper.gamma_h * (params.W_hy.T @ dz_out)
-    for t in range(cache.tau - 1, -1, -1):
-        dzeta, dmu, da = _accumulate_step(d, cache, t, dh)
-        if t == 0:
-            break
-        z, m, n, av = cache.zs[t], cache.ms[t], cache.ns[t], cache.avs[t]
-        hprev = cache.hs[t]
-        if debug_true_jacobian:
-            dh = (
-                (1.0 - z) * dh
-                + params.W_hz.T @ dzeta
-                + params.W_hm.T @ dmu
-                + params.W_hn.T @ da
-            )
-        else:
-            tanhp = 1.0 - n * n
-            zc = np.clip(z, eps, 1.0 - eps)
-            mc = np.clip(m, eps, 1.0 - eps)
-            inv_dz = 1.0 / (zc * (1.0 - zc))
-            inv_dm = 1.0 / (mc * (1.0 - mc))
-            dh = (
-                (1.0 - z) * dh
-                + V_z @ (inv_dz * (n - hprev) * dh)
-                + V_m @ (inv_dm * av * tanhp * z * dh)
-                + V_n @ (m * tanhp * z * dh)
-            )
     return d

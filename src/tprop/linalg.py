@@ -9,7 +9,6 @@ inversions (one factorization per backward call, however long the sequence).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class DimensionMismatch(ValueError):
@@ -62,13 +61,16 @@ def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise SingularSystem("normal equations contain non-finite entries")
     try:
-        factor = cho_factor(A, lower=True)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"W^T W + {r} I is not positive definite (rank-deficient W?)"
         ) from exc
     _factorizations += 1
-    V = cho_solve(factor, W.T)
+    # numpy.linalg has no triangular solve, so V = L^{-T} (L^{-1} W^T) goes
+    # through the inverse of the factor.
+    Li = np.linalg.inv(L)
+    V = Li.T @ (Li @ W.T)
     if not np.all(np.isfinite(V)):
         raise SingularSystem("ridge solve produced non-finite entries")
     return V
@@ -95,28 +97,6 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def orthogonal_init(p: int, seed: int) -> np.ndarray:
     """Deterministic random orthogonal p x p matrix for the given seed."""
     return orthogonal(np.random.default_rng(seed), p, p)
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    return A @ B
-
-
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    A = np.asarray(A)
-    x = np.asarray(x)
-    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"cannot apply {A.shape} to vector {x.shape}")
-    return A @ x
-
-
-def frobenius_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(A, dtype=np.float64)))
 
 
 def spectral_norm(A: np.ndarray, max_iter: int = 100, tol: float = 1e-9) -> float:

@@ -229,24 +229,47 @@ def _check_cache(params: RnnParams, cache: ForwardCache):
         raise CacheMismatch("output kind changed since the forward pass")
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(tau, n, B) stack -> (n, tau * B) matrix, one column per (step, sample)."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
+           propagate) -> Direction:
+    """One backward pass over the time axis, for BPTT and every TP rule.
+
+    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau.
+    ``propagate(t, lam, e)`` maps the one at h_{t+1} to the one at h_t, given
+    e_t = a'(u_t) * lam; it is called for t = tau-1 .. 1. The per-step
+    errors e_t are stacked and contracted with the inputs and states in one
+    product per tensor once the loop is done. Returns the directions of
+    W_xh, W_hh and b_h.
+    """
+    es = params.activation.deriv(cache.us)  # a'(u_t), overwritten by e_t below
+    lam = signal
+    for t in range(cache.tau - 1, -1, -1):
+        e = np.multiply(es[t], lam, out=es[t])
+        if t > 0:
+            lam = propagate(t, lam, e)
+    E = _flat(es)
+    return {
+        "W_xh": E @ _flat(cache.xs).T,
+        "W_hh": E @ _flat(cache.hs[:-1]).T,
+        "b_h": E.sum(axis=1),
+    }
+
+
+def _transposed_jacobian(params: RnnParams):
+    """BPTT's propagator: lam_t = W_hh^T e_t."""
+    W_T = params.W_hh.T
+    return lambda t, lam, e: W_T @ e
+
+
 def bptt(params: RnnParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
     _check_cache(params, cache)
-    act = params.activation
     dz = output_delta(y, cache)
-    grad: Direction = {
-        "W_xh": np.zeros_like(params.W_xh),
-        "W_hh": np.zeros_like(params.W_hh),
-        "b_h": np.zeros_like(params.b_h),
-        "W_hy": dz @ cache.hs[-1].T,
-        "b_y": dz.sum(axis=1),
-    }
-    gh = params.W_hy.T @ dz
-    for t in range(cache.tau - 1, -1, -1):
-        e = act.deriv(cache.us[t]) * gh
-        grad["W_hh"] += e @ cache.hs[t].T
-        grad["W_xh"] += e @ cache.xs[t].T
-        grad["b_h"] += e.sum(axis=1)
-        if t > 0:
-            gh = params.W_hh.T @ e
+    grad = _sweep(params, cache, params.W_hy.T @ dz, _transposed_jacobian(params))
+    grad["W_hy"] = dz @ cache.hs[-1].T
+    grad["b_y"] = dz.sum(axis=1)
     return grad

@@ -65,7 +65,8 @@ def inverse_apply(
 ) -> np.ndarray:
     """Regularized inverse of the step-t transition, applied to target v_t.
 
-    Columns are independent samples; x_t is (d, B) and v_t is (p, B).
+    Columns are independent samples; x_t is (d, B) and v_t is (p, B), or
+    (tau, d, B) and (tau, p, B) stacks of them.
     """
     act = params.activation
     z = act.inverse(act.project(v_t, eps), eps)
@@ -91,58 +92,43 @@ def inverse_jacobian_T_apply(
     return V @ (s * lam)
 
 
-def _rule_linearized(params, V, cache, t, lam, hyper):
-    return inverse_jacobian_T_apply(params, V, cache.hs[t + 1], lam, hyper.epsilon)
+_TRUE_JACOBIAN = "true_jacobian"  # debug rule, see backward_targets
 
 
-def _rule_finite_difference(params, V, cache, t, lam, hyper):
-    # v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), so the displacement is
-    # the difference of the two inverse applications.
-    a = inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, hyper.epsilon)
-    b = inverse_apply(params, V, cache.xs[t], cache.hs[t + 1], hyper.epsilon)
-    return a - b
-
-
-def _rule_exact_inverse(params, V, cache, t, lam, hyper):
-    # v_{t-1} = f^{-1}(v_t) without the correction term.
-    v = inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, hyper.epsilon)
-    return v - cache.hs[t]
-
-
-def _rule_true_jacobian(params, V, cache, t, lam, hyper):
-    # Debug rule: the actual transposed layer Jacobian. Substituting it for
-    # the inverse reproduces -gamma_h times the backprop gradient exactly.
-    e = params.activation.deriv(cache.us[t]) * lam
-    return params.W_hh.T @ e
-
-
-_RULES = {
-    LINEARIZED: _rule_linearized,
-    FINITE_DIFFERENCE: _rule_finite_difference,
-    EXACT_INVERSE: _rule_exact_inverse,
-}
+def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
+                rule: str, eps: float):
+    """The displacement step lam_{t+1} -> lam_t of one rule, as
+    ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Pointwise factors that
+    do not depend on lam are computed for all steps up front."""
+    if rule == _TRUE_JACOBIAN:
+        # The actual transposed layer Jacobian: reproduces -gamma_h times the
+        # backprop gradient exactly.
+        return rnn._transposed_jacobian(params)
+    if rule == LINEARIZED:
+        act = params.activation
+        S = act.inv_deriv(act.project(cache.hs[1:], eps), eps)
+        return lambda t, lam, e: V @ (S[t] * lam)
+    if rule == FINITE_DIFFERENCE:
+        # v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), so the displacement is
+        # the difference of the two inverse applications.
+        base = inverse_apply(params, V, cache.xs, cache.hs[1:], eps)
+        return lambda t, lam, e: (
+            inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, eps) - base[t]
+        )
+    # EXACT_INVERSE: v_{t-1} = f^{-1}(v_t) without the correction term.
+    return lambda t, lam, e: (
+        inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, eps) - cache.hs[t]
+    )
 
 
 def _backward(params, cache, y, hyper, rule) -> rnn.Direction:
     rnn._check_cache(params, cache)
     V = precompute_V(params, hyper.r)
-    act = params.activation
-    lam = -hyper.gamma_h * rnn.loss_grad_state(params, y, cache)
-    d: rnn.Direction = {
-        "W_xh": np.zeros_like(params.W_xh),
-        "W_hh": np.zeros_like(params.W_hh),
-        "b_h": np.zeros_like(params.b_h),
-    }
-    for t in range(cache.tau - 1, -1, -1):
-        e = act.deriv(cache.us[t]) * lam
-        d["W_hh"] += e @ cache.hs[t].T
-        d["W_xh"] += e @ cache.xs[t].T
-        d["b_h"] += e.sum(axis=1)
-        if t > 0:
-            lam = rule(params, V, cache, t, lam, hyper)
+    dz = rnn.output_delta(y, cache)
+    lam = -hyper.gamma_h * (params.W_hy.T @ dz)
+    d = rnn._sweep(params, cache, lam, _propagator(params, cache, V, rule, hyper.epsilon))
     # The output head keeps its plain gradient; the direction is its negation
     # so that theta + gamma_theta * d descends.
-    dz = rnn.output_delta(y, cache)
     d["W_hy"] = -(dz @ cache.hs[-1].T)
     d["b_y"] = -dz.sum(axis=1)
     return d
@@ -160,35 +146,23 @@ def backward_targets(
     The recursion starts from lambda_tau = -gamma_h * dloss/dh_tau and stops
     after producing the displacement for step 1 (a step-0 displacement would
     multiply nothing). Exactly one matrix factorization happens per call.
+    hyper.variant is ignored: this is always the linearized rule.
 
     With ``debug_true_jacobian`` the inverse operator is replaced by the true
     transposed layer Jacobian, which turns the result into -gamma_h times the
     backprop gradient for the recurrent tensors; useful as a wiring check.
     """
-    rule = _rule_true_jacobian if debug_true_jacobian else _rule_linearized
+    rule = _TRUE_JACOBIAN if debug_true_jacobian else LINEARIZED
     return _backward(params, cache, y, hyper, rule)
-
-
-def backward_targets_dtp(
-    params: rnn.RnnParams, cache: rnn.ForwardCache, y, hyper: TpHyper
-) -> rnn.Direction:
-    """Difference variant: displacement f^{-1}(v_t) - f^{-1}(h_t).
-
-    Agrees with :func:`backward_targets` up to O(gamma_h^2); halving gamma_h
-    shrinks the difference between the two by about 4x.
-    """
-    return _backward(params, cache, y, hyper, _rule_finite_difference)
-
-
-def backward_targets_exact(
-    params: rnn.RnnParams, cache: rnn.ForwardCache, y, hyper: TpHyper
-) -> rnn.Direction:
-    """Plain inverse variant: v_{t-1} = f^{-1}(v_t), no correction term."""
-    return _backward(params, cache, y, hyper, _rule_exact_inverse)
 
 
 def tp_direction(
     params: rnn.RnnParams, cache: rnn.ForwardCache, y, hyper: TpHyper
 ) -> rnn.Direction:
-    """Dispatch on hyper.variant; the training loop calls this."""
-    return _backward(params, cache, y, hyper, _RULES[hyper.variant])
+    """Dispatch on hyper.variant; the training loop calls this.
+
+    The difference variant (finite_difference) agrees with the linearized
+    one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
+    plain inverse variant (exact_inverse) drops the correction term.
+    """
+    return _backward(params, cache, y, hyper, hyper.variant)

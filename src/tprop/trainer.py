@@ -251,6 +251,8 @@ class _PixelTask:
         self.name = "pixels"
         self.k = cfg.k
         self.batch = cfg.batch
+        if cfg.batch > self.train.n:
+            raise ConfigError(f"batch {cfg.batch} exceeds the {self.train.n} training images")
         if self.train.pixels % cfg.k != 0:
             raise ConfigError(f"k={cfg.k} does not divide {self.train.pixels} pixels")
         self.permutation = (

@@ -24,6 +24,8 @@ INTERIOR = {
 def test_apply_fixed_points():
     npt.assert_allclose(TANH.apply(np.array([0.0])), [0.0], atol=1e-15)
     npt.assert_allclose(SIGMOID.apply(np.array([0.0])), [0.5], atol=1e-15)
+    with np.errstate(over="raise"):  # saturates without an overflow warning
+        npt.assert_allclose(SIGMOID.apply(np.array([-1000.0, 1000.0])), [0.0, 1.0], atol=0)
     u = np.array([-2.0, 0.3, 7.0])
     npt.assert_allclose(IDENTITY.apply(u), u, atol=0)
 
@@ -70,6 +72,8 @@ def test_inverse_round_trip_scalar():
 def test_inverse_near_clip_matches_reference_value():
     # atanh(0.999) from an independent high-precision evaluation
     npt.assert_allclose(TANH.inverse(np.array([0.999])), [3.8002011672501624], rtol=1e-12)
+    # logit(0.999) = log(999)
+    npt.assert_allclose(SIGMOID.inverse(np.array([0.999])), [6.906754778648554], rtol=1e-12)
 
 
 def test_inverse_out_of_range_raises():

@@ -98,6 +98,19 @@ def test_train_pixels_missing_dataset(tmp_path, capsys, monkeypatch):
     assert "missing dataset file" in capsys.readouterr().err
 
 
+def test_pixels_batch_larger_than_train_split(tmp_path, capsys):
+    data = tmp_path / "idx"
+    write_tiny_idx(data, n=8)
+    cfg = trainer.ExperimentConfig(task="pixels", data_dir=str(data), k=4, hidden=6,
+                                   batch=9, iters=1)
+    with pytest.raises(trainer.ConfigError, match="exceeds"):
+        trainer.build_task(cfg)
+    argv = ["train", "--task", "pixels", "--data-dir", str(data), "--k", "4",
+            "--hidden", "6", "--batch", "9", "--iters", "1", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_USAGE
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_train_pixels_end_to_end(tmp_path, capsys):
     data = tmp_path / "idx"
     write_tiny_idx(data)

@@ -4,15 +4,13 @@ import pytest
 
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count, orthogonal_init
-from tprop.rnn import MSE, RnnParams, bptt, forward, init_params
+from tprop.rnn import MSE, RnnParams, bptt, forward, init_params, output_delta
 from tprop.targetprop import (
     EXACT_INVERSE,
     FINITE_DIFFERENCE,
     LINEARIZED,
     TpHyper,
     backward_targets,
-    backward_targets_dtp,
-    backward_targets_exact,
     inverse_apply,
     inverse_jacobian_T_apply,
     precompute_V,
@@ -121,6 +119,62 @@ def test_inverse_jacobian_apply_matches_directional_fd(rng):
     npt.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-10)
 
 
+def _per_step_reference(params, cache, lam, step):
+    """The loop form of the backward sweep: each step's outer products are
+    accumulated as the recursion goes, and step(t, lam, e) is applied with
+    nothing computed ahead of the loop."""
+    act = params.activation
+    d = {k: np.zeros_like(v) for k, v in params.tensors().items() if k in THETA_H}
+    for t in range(cache.tau - 1, -1, -1):
+        e = act.deriv(cache.us[t]) * lam
+        d["W_hh"] += e @ cache.hs[t].T
+        d["W_xh"] += e @ cache.xs[t].T
+        d["b_h"] += e.sum(axis=1)
+        if t > 0:
+            lam = step(t, lam, e)
+    return d
+
+
+@pytest.mark.parametrize("rule", ["bp", "debug", LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE])
+def test_sweep_matches_per_step_reference(rng, rule):
+    # the sweep stacks the per-step errors and contracts them after the loop,
+    # so sums run in another order: equal up to float64 rounding
+    params = init_params(8, 3, 4, activation="tanh", seed=5)
+    cache = forward(params, 0.5 * rng.standard_normal((30, 3, 5)))
+    y = rng.integers(0, 4, size=5)
+    hy = hyper(variant=LINEARIZED if rule in ("bp", "debug") else rule)
+    V = precompute_V(params, hy.r)
+    eps = hy.epsilon
+    g_tau = params.W_hy.T @ output_delta(y, cache)
+
+    def transposed_jacobian(t, lam, e):
+        return params.W_hh.T @ e
+
+    def inv(t, v):
+        return inverse_apply(params, V, cache.xs[t], v, eps)
+
+    steps = {
+        "bp": transposed_jacobian,
+        "debug": transposed_jacobian,
+        LINEARIZED: lambda t, lam, e: inverse_jacobian_T_apply(
+            params, V, cache.hs[t + 1], lam, eps),
+        FINITE_DIFFERENCE: lambda t, lam, e: (
+            inv(t, cache.hs[t + 1] + lam) - inv(t, cache.hs[t + 1])),
+        EXACT_INVERSE: lambda t, lam, e: inv(t, cache.hs[t + 1] + lam) - cache.hs[t],
+    }
+    if rule == "bp":
+        got, lam = bptt(params, cache, y), g_tau
+    elif rule == "debug":
+        got = backward_targets(params, cache, y, hy, debug_true_jacobian=True)
+        lam = -hy.gamma_h * g_tau
+    else:
+        got, lam = tp_direction(params, cache, y, hy), -hy.gamma_h * g_tau
+    want = _per_step_reference(params, cache, lam, steps[rule])
+    for name in THETA_H:
+        npt.assert_allclose(got[name], want[name], rtol=1e-12,
+                            atol=1e-15 * np.abs(want[name]).max())
+
+
 def test_backward_targets_equivalence_in_linear_orthogonal_regime(rng):
     # with identity activation, orthogonal recurrence and r=0 the backward operator
     # equals the BPTT operator, so directions coincide up to the -gamma_h factor
@@ -194,7 +248,7 @@ def test_dtp_zero_gamma_h_gives_zero_direction(rng):
     xs = rng.standard_normal((6, 2, 3))
     y = rng.integers(0, 2, size=3)
     cache = forward(params, xs)
-    d = backward_targets_dtp(params, cache, y, hyper(gamma_h=0.0))
+    d = tp_direction(params, cache, y, hyper(gamma_h=0.0, variant=FINITE_DIFFERENCE))
     for name in THETA_H:
         npt.assert_allclose(d[name], 0.0, atol=0)
 
@@ -209,8 +263,8 @@ def test_dtp_matches_exact_variant_when_inverses_are_exact(rng):
     cache = forward(params, xs)
     hy_fd = hyper(gamma_h=1e-3, r=0.0, variant=FINITE_DIFFERENCE)
     hy_ex = hyper(gamma_h=1e-3, r=0.0, variant=EXACT_INVERSE)
-    d_fd = backward_targets_dtp(params, cache, y, hy_fd)
-    d_ex = backward_targets_exact(params, cache, y, hy_ex)
+    d_fd = tp_direction(params, cache, y, hy_fd)
+    d_ex = tp_direction(params, cache, y, hy_ex)
     for name in THETA_H:
         npt.assert_allclose(d_fd[name], d_ex[name], atol=1e-8)
 
@@ -220,7 +274,7 @@ def test_exact_inverse_fixed_point_zero_direction(rng):
     xs = 0.3 * rng.standard_normal((4, 2, 3))
     y = rng.integers(0, 2, size=3)
     cache = forward(params, xs)
-    d = backward_targets_exact(params, cache, y, hyper(gamma_h=0.0, r=0.0))
+    d = tp_direction(params, cache, y, hyper(gamma_h=0.0, r=0.0, variant=EXACT_INVERSE))
     for name in THETA_H:
         npt.assert_allclose(d[name], 0.0, atol=1e-10)
 
@@ -239,28 +293,9 @@ def test_exact_inverse_equals_linearized_for_identity_unit_recurrence(rng):
     y = rng.standard_normal((2, 3))
     cache = forward(params, xs)
     d_lin = backward_targets(params, cache, y, hyper(gamma_h=0.05, r=0.0))
-    d_ex = backward_targets_exact(
-        params, cache, y, hyper(gamma_h=0.05, r=0.0, variant=EXACT_INVERSE)
-    )
+    d_ex = tp_direction(params, cache, y, hyper(gamma_h=0.05, r=0.0, variant=EXACT_INVERSE))
     for name in THETA_H:
         npt.assert_allclose(d_ex[name], d_lin[name], atol=1e-10)
-
-
-def test_tp_direction_dispatches_on_variant(rng):
-    params = init_params(4, 2, 2, seed=4)
-    xs = rng.standard_normal((3, 2, 2))
-    y = rng.integers(0, 2, size=2)
-    cache = forward(params, xs)
-    for variant, ref in (
-        (LINEARIZED, backward_targets),
-        (FINITE_DIFFERENCE, backward_targets_dtp),
-        (EXACT_INVERSE, backward_targets_exact),
-    ):
-        hy = hyper(variant=variant)
-        want = ref(params, cache, y, hy)
-        got = tp_direction(params, cache, y, hy)
-        for name in want:
-            npt.assert_allclose(got[name], want[name], atol=0)
 
 
 def test_tphyper_rejects_unknown_variant():

@@ -253,6 +253,17 @@ def test_epoch_indices_no_replacement_within_epoch():
     assert set(first_epoch) <= set(range(10))
 
 
+def test_epoch_indices_rejects_batch_larger_than_n():
+    from itertools import islice
+
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        epoch_indices(10, 20, rng)
+    # batch == n: every slice is a whole epoch
+    chunks = list(islice(epoch_indices(10, 10, rng), 2))
+    assert all(sorted(c) == list(range(10)) for c in chunks)
+
+
 def test_batches_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     batches = [gen_adding(12, 3, rng) for _ in range(2)]
