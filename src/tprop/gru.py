@@ -25,8 +25,7 @@ import numpy as np
 
 from . import linalg, rnn
 from .activations import sigmoid
-from .linalg import DimensionMismatch
-from .rnn import CacheMismatch, Direction, SOFTMAX_CE, OUTPUT_KINDS
+from .rnn import Direction, SOFTMAX_CE, OUTPUT_KINDS
 from .targetprop import TpHyper
 
 
@@ -66,10 +65,6 @@ class GruParams:
             "W_hn": self.W_hn, "b_hn": self.b_hn,
             "W_hy": self.W_hy, "b_y": self.b_y,
         }
-
-    def copy(self) -> "GruParams":
-        t = {k: v.copy() for k, v in self.tensors().items()}
-        return GruParams(output_kind=self.output_kind, **t)
 
 
 RECURRENT_TENSORS = (
@@ -119,12 +114,8 @@ def init_gru_params(
 
 
 def gru_forward(params: GruParams, x_seq: np.ndarray) -> GruCache:
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 3:
-        raise DimensionMismatch(f"expected (tau, d, B) inputs, got {x_seq.shape}")
-    tau, d, B = x_seq.shape
-    if d != params.d:
-        raise DimensionMismatch(f"input dim {d} but gates expect {params.d}")
+    x_seq = rnn._check_inputs(params, x_seq)
+    tau, _, B = x_seq.shape
     p = params.p
     hs = np.zeros((tau + 1, p, B))
     ms = np.empty((tau, p, B))
@@ -140,31 +131,11 @@ def gru_forward(params: GruParams, x_seq: np.ndarray) -> GruCache:
         n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
         h = (1.0 - z) * h + z * n
         ms[t], zs[t], ns[t], avs[t], hs[t + 1] = m, z, n, av, h
-    logits = params.W_hy @ h + params.b_y[:, None]
-    y_hat = rnn.softmax(logits) if params.output_kind == SOFTMAX_CE else logits
+    logits, y_hat = rnn._head(params, h)
     return GruCache(
         xs=x_seq, hs=hs, ms=ms, zs=zs, ns=ns, avs=avs,
         logits=logits, y_hat=y_hat, output_kind=params.output_kind,
     )
-
-
-def _check_cache(params: GruParams, cache: GruCache):
-    tau, p, B = cache.ms.shape
-    if p != params.p or cache.xs.shape[1] != params.d:
-        raise CacheMismatch(
-            f"cache built for (p={p}, d={cache.xs.shape[1]}), "
-            f"params have (p={params.p}, d={params.d})"
-        )
-    if cache.hs.shape != (tau + 1, p, B):
-        raise CacheMismatch("hidden-state stack inconsistent with gate stacks")
-    if cache.logits.shape[0] != params.n_out:
-        raise CacheMismatch("output head size changed since the forward pass")
-    if cache.output_kind != params.output_kind:
-        raise CacheMismatch("output kind changed since the forward pass")
-
-
-def gru_loss(y, cache: GruCache) -> float:
-    return rnn.loss(y, cache)
 
 
 def _zero_direction(params: GruParams) -> Direction:
@@ -224,12 +195,8 @@ def _transposed_jacobian(params: GruParams, cache: GruCache):
 
 def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    _check_cache(params, cache)
-    dz_out = rnn.output_delta(y, cache)
-    grad = _sweep(params, cache, params.W_hy.T @ dz_out, _transposed_jacobian(params, cache))
-    grad["W_hy"] = dz_out @ cache.hs[-1].T
-    grad["b_y"] = dz_out.sum(axis=1)
-    return grad
+    rnn._check_cache(params, cache, cache.ms)
+    return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params, cache))
 
 
 def gru_precompute(params: GruParams, r: float):
@@ -281,14 +248,10 @@ def gru_tp_backward(
     pieces instead, which makes the recurrent-tensor result equal
     -gamma_h times :func:`gru_bptt`.
     """
-    _check_cache(params, cache)
+    rnn._check_cache(params, cache, cache.ms)
     Vs = gru_precompute(params, hyper.r)
-    dz_out = rnn.output_delta(y, cache)
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params, cache)
     else:
         propagate = _linearized_inverse(cache, Vs, hyper.epsilon)
-    d = _sweep(params, cache, -hyper.gamma_h * (params.W_hy.T @ dz_out), propagate)
-    d["W_hy"] = -(dz_out @ cache.hs[-1].T)
-    d["b_y"] = -dz_out.sum(axis=1)
-    return d
+    return rnn._backward(params, cache, y, _sweep, propagate, hyper.gamma_h)

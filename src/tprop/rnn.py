@@ -65,17 +65,6 @@ class RnnParams:
             "b_y": self.b_y,
         }
 
-    def copy(self) -> "RnnParams":
-        return RnnParams(
-            W_xh=self.W_xh.copy(),
-            W_hh=self.W_hh.copy(),
-            b_h=self.b_h.copy(),
-            W_hy=self.W_hy.copy(),
-            b_y=self.b_y.copy(),
-            activation=self.activation,
-            output_kind=self.output_kind,
-        )
-
 
 @dataclass
 class ForwardCache:
@@ -133,14 +122,26 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def forward(params: RnnParams, x_seq: np.ndarray) -> ForwardCache:
-    """Roll the network over x_seq (tau, d, B), starting from h_0 = 0."""
+def _check_inputs(params, x_seq) -> np.ndarray:
+    """The inputs as a float64 (tau, d, B) stack that fits the cell's input width."""
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
         raise DimensionMismatch(f"expected (tau, d, B) inputs, got {x_seq.shape}")
-    tau, d, B = x_seq.shape
-    if d != params.d:
-        raise DimensionMismatch(f"input dim {d} but W_xh expects {params.d}")
+    if x_seq.shape[1] != params.d:
+        raise DimensionMismatch(f"input dim {x_seq.shape[1]} but the cell expects {params.d}")
+    return x_seq
+
+
+def _head(params, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits W_hy h + b_y and the prediction: softmax, or the logits for mse."""
+    logits = params.W_hy @ h + params.b_y[:, None]
+    return logits, (softmax(logits) if params.output_kind == SOFTMAX_CE else logits)
+
+
+def forward(params: RnnParams, x_seq: np.ndarray) -> ForwardCache:
+    """Roll the network over x_seq (tau, d, B), starting from h_0 = 0."""
+    x_seq = _check_inputs(params, x_seq)
+    tau, _, B = x_seq.shape
     p = params.p
     us = np.empty((tau, p, B))
     hs = np.zeros((tau + 1, p, B))
@@ -151,11 +152,7 @@ def forward(params: RnnParams, x_seq: np.ndarray) -> ForwardCache:
         h = act.apply(u)
         us[t] = u
         hs[t + 1] = h
-    logits = params.W_hy @ h + params.b_y[:, None]
-    if params.output_kind == SOFTMAX_CE:
-        y_hat = softmax(logits)
-    else:
-        y_hat = logits
+    logits, y_hat = _head(params, h)
     return ForwardCache(
         xs=x_seq, us=us, hs=hs, logits=logits, y_hat=y_hat,
         output_kind=params.output_kind,
@@ -210,19 +207,21 @@ def output_delta(y, cache: ForwardCache) -> np.ndarray:
 
 def loss_grad_state(params: RnnParams, y, cache: ForwardCache) -> np.ndarray:
     """Gradient of the batch-mean loss with respect to h_tau, shape (p, B)."""
-    _check_cache(params, cache)
+    _check_cache(params, cache, cache.us)
     return params.W_hy.T @ output_delta(y, cache)
 
 
-def _check_cache(params: RnnParams, cache: ForwardCache):
-    tau, p, B = cache.us.shape
+def _check_cache(params, cache, stack: np.ndarray):
+    """Check that a forward cache fits params; ``stack`` is the cell's
+    (tau, p, B) per-step stack (pre-activations, or the GRU's reset gates)."""
+    tau, p, B = stack.shape
     if p != params.p or cache.xs.shape[1] != params.d:
         raise CacheMismatch(
             f"cache built for (p={p}, d={cache.xs.shape[1]}), "
             f"params have (p={params.p}, d={params.d})"
         )
     if cache.hs.shape != (tau + 1, p, B):
-        raise CacheMismatch("hidden-state stack inconsistent with pre-activations")
+        raise CacheMismatch("hidden-state stack inconsistent with the per-step stacks")
     if cache.logits.shape[0] != params.n_out:
         raise CacheMismatch("output head size changed since the forward pass")
     if cache.output_kind != params.output_kind:
@@ -265,11 +264,27 @@ def _transposed_jacobian(params: RnnParams):
     return lambda t, lam, e: W_T @ e
 
 
+def _backward(params, cache, y, sweep, propagate, gamma_h: float | None = None) -> Direction:
+    """The frame around one backward sweep, shared by BPTT and TP on both cells.
+
+    BPTT (``gamma_h`` None) starts ``sweep`` from dloss/dh_tau = W_hy^T dz and
+    returns the gradient. TP starts it from the displacement -gamma_h W_hy^T dz
+    and returns a direction, with the output head's plain gradient negated so
+    that theta + gamma_theta * d descends.
+    """
+    dz = output_delta(y, cache)
+    signal = params.W_hy.T @ dz
+    if gamma_h is not None:
+        signal = -gamma_h * signal
+    d = sweep(params, cache, signal, propagate)
+    d["W_hy"] = dz @ cache.hs[-1].T
+    d["b_y"] = dz.sum(axis=1)
+    if gamma_h is not None:
+        d["W_hy"], d["b_y"] = -d["W_hy"], -d["b_y"]
+    return d
+
+
 def bptt(params: RnnParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    _check_cache(params, cache)
-    dz = output_delta(y, cache)
-    grad = _sweep(params, cache, params.W_hy.T @ dz, _transposed_jacobian(params))
-    grad["W_hy"] = dz @ cache.hs[-1].T
-    grad["b_y"] = dz.sum(axis=1)
-    return grad
+    _check_cache(params, cache, cache.us)
+    return _backward(params, cache, y, _sweep, _transposed_jacobian(params))

@@ -122,16 +122,10 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
 
 
 def _backward(params, cache, y, hyper, rule) -> rnn.Direction:
-    rnn._check_cache(params, cache)
+    rnn._check_cache(params, cache, cache.us)
     V = precompute_V(params, hyper.r)
-    dz = rnn.output_delta(y, cache)
-    lam = -hyper.gamma_h * (params.W_hy.T @ dz)
-    d = rnn._sweep(params, cache, lam, _propagator(params, cache, V, rule, hyper.epsilon))
-    # The output head keeps its plain gradient; the direction is its negation
-    # so that theta + gamma_theta * d descends.
-    d["W_hy"] = -(dz @ cache.hs[-1].T)
-    d["b_y"] = -dz.sum(axis=1)
-    return d
+    propagate = _propagator(params, cache, V, rule, hyper.epsilon)
+    return rnn._backward(params, cache, y, rnn._sweep, propagate, hyper.gamma_h)
 
 
 def backward_targets(

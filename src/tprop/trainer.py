@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +83,12 @@ class ExperimentConfig:
             raise ConfigError("hidden, batch and iters must be positive")
         if self.task != "pixels" and self.T < 10:
             raise ConfigError("synthetic tasks need T >= 10")
+        if self.k < 1:
+            raise ConfigError("k must be at least 1 pixel per step")
         if self.r < 0:
             raise ConfigError("ridge coefficient must be nonnegative")
+        if not 0 < self.epsilon < 0.5:
+            raise ConfigError("projection clip margin epsilon must lie in (0, 0.5)")
         from .activations import ACTIVATIONS
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -309,17 +312,18 @@ def _forward_for(params, inputs):
 
 
 def _direction_for(cfg, params, cache, y, hyper):
-    """Update direction for one batch. BP returns the negated gradient so
-    every method's update is theta += stepsize * direction."""
+    """What one batch asks the optimizer to descend along: the BPTT gradient,
+    or the negated TP direction. The backward passes are looked up on their
+    modules at each call, so wrappers installed there see every call."""
     if cfg.method == BP:
         if isinstance(params, gru_mod.GruParams):
-            g = gru_mod.gru_bptt(params, cache, y)
-        else:
-            g = rnn.bptt(params, cache, y)
-        return {k: -v for k, v in g.items()}
+            return gru_mod.gru_bptt(params, cache, y)
+        return rnn.bptt(params, cache, y)
     if isinstance(params, gru_mod.GruParams):
-        return gru_mod.gru_tp_backward(params, cache, y, hyper)
-    return targetprop.tp_direction(params, cache, y, hyper)
+        d = gru_mod.gru_tp_backward(params, cache, y, hyper)
+    else:
+        d = targetprop.tp_direction(params, cache, y, hyper)
+    return {k: -v for k, v in d.items()}
 
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
@@ -362,6 +366,10 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
         gamma_h=cfg.gamma_h, gamma_theta=cfg.gamma_theta, r=cfg.r,
         epsilon=cfg.epsilon, variant=_VARIANT_OF.get(cfg.method, targetprop.LINEARIZED),
     )
+    if cfg.method == BP:
+        stepsize, momentum = cfg.gamma, cfg.momentum
+    else:
+        stepsize, momentum = cfg.gamma_theta, (cfg.momentum if cfg.tp_momentum else 0.0)
     log = MetricsLog()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(cfg.iters):
@@ -375,20 +383,12 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                 break
             acc = task.accuracy(cache.y_hat, batch.labels)
             try:
-                direction = _direction_for(cfg, params, cache, batch.labels, hyper)
+                g = _direction_for(cfg, params, cache, batch.labels, hyper)
             except SingularSystem:
                 log.diverged = True
                 log.diverged_at = it
                 break
-            if cfg.method == BP:
-                nesterov_step(theta, velocity, {k: -v for k, v in direction.items()},
-                              cfg.gamma, cfg.momentum)
-            elif cfg.tp_momentum:
-                nesterov_step(theta, velocity, {k: -v for k, v in direction.items()},
-                              cfg.gamma_theta, cfg.momentum)
-            else:
-                for name, d in direction.items():
-                    theta[name] += cfg.gamma_theta * d
+            nesterov_step(theta, velocity, g, stepsize, momentum)
             log.iters.append(it)
             log.losses.append(loss)
             log.accs.append(acc)
@@ -436,25 +436,22 @@ def grid_search(
     base: ExperimentConfig,
     gamma_theta_grid,
     r_grid,
-    gamma_h: float | None = None,
     horizon: int = 400,
     jobs: int = 1,
 ) -> list[GridCell]:
     """Area under the training-loss curve for every (gamma_theta, r) cell.
 
-    gamma_h is held fixed across the grid; each cell trains for ``horizon``
-    iterations from the same seed. Diverged cells get area nan. Cells are
-    independent runs, so jobs > 1 fans them out over processes.
+    Every other setting, gamma_h included, comes from ``base`` and is the
+    same in every cell; each cell trains for ``horizon`` iterations from the
+    same seed. Diverged cells get area nan. Cells are independent runs, so
+    jobs > 1 fans them out over processes.
     """
-    cfg = dataclasses.replace(
-        base,
-        iters=horizon,
-        gamma_h=base.gamma_h if gamma_h is None else gamma_h,
-        stop_at_acc=0.0,
-    )
+    cfg = dataclasses.replace(base, iters=horizon, stop_at_acc=0.0)
     cfg.validate()
     work = [(cfg, float(gt), float(r)) for gt in gamma_theta_grid for r in r_grid]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_grid_run, work))
     return [_grid_run(w) for w in work]

@@ -80,10 +80,13 @@ def test_train_divergence_exit_code(tmp_path, capsys):
 
 
 def test_train_rejects_bad_config_value(tmp_path, capsys):
-    argv = ["train", "--task", "temporal-order", "--batch", "0",
-            "--out", str(tmp_path / "x")]
-    assert main(argv) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    data = tmp_path / "idx"
+    write_tiny_idx(data)
+    for bad in (["--task", "temporal-order", "--batch", "0"],
+                ["--task", "pixels", "--data-dir", str(data), "--k", "0", "--batch", "2"]):
+        argv = ["train", *bad, "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 def test_train_pixels_missing_dataset(tmp_path, capsys, monkeypatch):

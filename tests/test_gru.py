@@ -7,13 +7,12 @@ from tprop.gru import (
     GruParams,
     gru_bptt,
     gru_forward,
-    gru_loss,
     gru_precompute,
     gru_tp_backward,
     init_gru_params,
 )
 from tprop.linalg import factorization_count
-from tprop.rnn import MSE, CacheMismatch
+from tprop.rnn import MSE, CacheMismatch, loss
 from tprop.targetprop import TpHyper
 
 
@@ -76,7 +75,7 @@ def test_bptt_matches_finite_differences(rng):
     y = rng.integers(0, 3, size=3)
 
     def loss_fn():
-        return gru_loss(y, gru_forward(params, xs))
+        return loss(y, gru_forward(params, xs))
 
     grads = gru_bptt(params, gru_forward(params, xs), y)
     report = finite_diff_check(loss_fn, params.tensors(), grads, step=1e-5)

@@ -126,3 +126,9 @@ def test_spectral_norm_diagonal():
 def test_spectral_norm_against_svd_oracle(rng):
     A = rng.standard_normal((8, 8))
     npt.assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-6)
+    # top right-singular vectors orthogonal to the all-ones vector
+    c = np.sqrt(0.5)
+    R = np.array([[c, -c], [c, c]])  # 45 degree rotation
+    for A, want in ((np.array([[1.0, -1.0], [1.0, -1.0]]), 2.0),
+                    (R @ np.diag([1.0, 5.0]) @ R.T, 5.0)):
+        npt.assert_allclose(spectral_norm(A), want, rtol=1e-12)

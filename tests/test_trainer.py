@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tprop import gru, rnn, targetprop
 from tprop.targetprop import TpHyper, backward_targets
 from tprop.tasks import gen_temporal_order
 from tprop.trainer import (
@@ -240,6 +241,13 @@ def test_config_validation():
         small_config(T=5).validate()
     with pytest.raises(ConfigError):
         small_config(model="gru", method="tp-dtp").validate()
+    with pytest.raises(ConfigError):
+        small_config(task="pixels", k=0).validate()
+    for eps in (0.0, 0.5, 0.6):
+        with pytest.raises(ConfigError):
+            small_config(activation="sigmoid", epsilon=eps).validate()
+        with pytest.raises(ConfigError):
+            small_config(model="gru", epsilon=eps).validate()
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -280,3 +288,32 @@ def test_stop_at_acc_halts_early():
     res = train(cfg)
     assert len(res.log.losses) < 4000
     assert res.log.running_accuracy() >= 0.5
+
+
+def test_train_reaches_forward_and_backward_through_their_modules(monkeypatch):
+    # Wrappers set on these module attributes (as the benchmark's tracer
+    # does) must see every forward and backward call the loop makes.
+    hooks = ((rnn, "forward"), (rnn, "bptt"), (targetprop, "tp_direction"),
+             (gru, "gru_forward"), (gru, "gru_bptt"), (gru, "gru_tp_backward"))
+    called = {
+        ("rnn", "bp"): ("forward", "bptt"),
+        ("rnn", "tp"): ("forward", "tp_direction"),
+        ("rnn", "tp-dtp"): ("forward", "tp_direction"),
+        ("rnn", "tp-exact"): ("forward", "tp_direction"),
+        ("gru", "bp"): ("gru_forward", "gru_bptt"),
+        ("gru", "tp"): ("gru_forward", "gru_tp_backward"),
+    }
+
+    def counting(fn, name, counts):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for (model, method), names in called.items():
+        counts = {attr: 0 for _, attr in hooks}
+        with monkeypatch.context() as m:
+            for module, attr in hooks:
+                m.setattr(module, attr, counting(getattr(module, attr), attr, counts))
+            train(small_config(model=model, method=method, iters=2))
+        assert counts == {a: 2 if a in names else 0 for a in counts}, (model, method)
