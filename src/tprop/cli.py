@@ -295,6 +295,8 @@ def cmd_bench(args) -> int:
     ps = _int_grid(args.p_grid)
     if not taus or not ps:
         raise trainer.ConfigError("grids must be nonempty")
+    if min(taus + ps) < 1 or args.batch < 1 or args.reps < 1:
+        raise trainer.ConfigError("tau, p, batch and reps must be positive")
     lines = ["tau,p,method,ms_per_iter,inversions"]
     for p in ps:
         for tau in taus:

@@ -74,12 +74,14 @@ RECURRENT_TENSORS = (
 
 @dataclass
 class GruCache:
-    xs: np.ndarray      # (tau, d, B)
-    hs: np.ndarray      # (tau + 1, p, B)
-    ms: np.ndarray      # (tau, p, B) reset gates
-    zs: np.ndarray      # (tau, p, B) update gates
-    ns: np.ndarray      # (tau, p, B) candidates
-    avs: np.ndarray     # (tau, p, B) candidate recurrences a_t
+    """One rollout; the per-step stacks are None when it kept no states."""
+
+    xs: np.ndarray              # (tau, d, B)
+    hs: np.ndarray | None       # (tau + 1, p, B)
+    ms: np.ndarray | None       # (tau, p, B) reset gates
+    zs: np.ndarray | None       # (tau, p, B) update gates
+    ns: np.ndarray | None       # (tau, p, B) candidates
+    avs: np.ndarray | None      # (tau, p, B) candidate recurrences a_t
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B)
     output_kind: str
@@ -113,16 +115,17 @@ def init_gru_params(
     )
 
 
-def gru_forward(params: GruParams, x_seq: np.ndarray) -> GruCache:
+def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) -> GruCache:
+    """Roll the cell over x_seq (tau, d, B) from h_0 = 0; ``states`` as in
+    :func:`tprop.rnn.forward`."""
     x_seq = rnn._check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     p = params.p
-    hs = np.zeros((tau + 1, p, B))
-    ms = np.empty((tau, p, B))
-    zs = np.empty((tau, p, B))
-    ns = np.empty((tau, p, B))
-    avs = np.empty((tau, p, B))
-    h = hs[0]
+    hs = np.zeros((tau + 1, p, B)) if states else None
+    ms, zs, ns, avs = (
+        [np.empty((tau, p, B)) for _ in range(4)] if states else [None] * 4
+    )
+    h = np.zeros((p, B))
     for t in range(tau):
         x = x_seq[t]
         m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
@@ -130,7 +133,8 @@ def gru_forward(params: GruParams, x_seq: np.ndarray) -> GruCache:
         av = params.W_hn @ h + params.b_hn[:, None]
         n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
         h = (1.0 - z) * h + z * n
-        ms[t], zs[t], ns[t], avs[t], hs[t + 1] = m, z, n, av, h
+        if states:
+            ms[t], zs[t], ns[t], avs[t], hs[t + 1] = m, z, n, av, h
     logits, y_hat = rnn._head(params, h)
     return GruCache(
         xs=x_seq, hs=hs, ms=ms, zs=zs, ns=ns, avs=avs,

@@ -71,12 +71,13 @@ class ForwardCache:
     """Everything the backward passes need from one rollout.
 
     hs stacks h_0 .. h_tau (so hs[0] is the zero initial state), us the
-    pre-activations of steps 1 .. tau.
+    pre-activations of steps 1 .. tau. Both are None when the rollout kept
+    no per-step states; such a cache serves losses and predictions only.
     """
 
-    xs: np.ndarray      # (tau, d, B)
-    us: np.ndarray      # (tau, p, B)
-    hs: np.ndarray      # (tau + 1, p, B)
+    xs: np.ndarray           # (tau, d, B)
+    us: np.ndarray | None    # (tau, p, B)
+    hs: np.ndarray | None    # (tau + 1, p, B)
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B); softmax probabilities, or the logits for mse
     output_kind: str
@@ -138,20 +139,26 @@ def _head(params, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logits, (softmax(logits) if params.output_kind == SOFTMAX_CE else logits)
 
 
-def forward(params: RnnParams, x_seq: np.ndarray) -> ForwardCache:
-    """Roll the network over x_seq (tau, d, B), starting from h_0 = 0."""
+def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> ForwardCache:
+    """Roll the network over x_seq (tau, d, B), starting from h_0 = 0.
+
+    With ``states`` False only the running state is kept, so memory is
+    O(p B) in tau; the logits and y_hat are the same bits either way, but
+    the cache cannot feed a backward pass.
+    """
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     p = params.p
-    us = np.empty((tau, p, B))
-    hs = np.zeros((tau + 1, p, B))
+    us = np.empty((tau, p, B)) if states else None
+    hs = np.zeros((tau + 1, p, B)) if states else None
     act = params.activation
-    h = hs[0]
+    h = np.zeros((p, B))
     for t in range(tau):
         u = params.W_xh @ x_seq[t] + params.W_hh @ h + params.b_h[:, None]
         h = act.apply(u)
-        us[t] = u
-        hs[t + 1] = h
+        if states:
+            us[t] = u
+            hs[t + 1] = h
     logits, y_hat = _head(params, h)
     return ForwardCache(
         xs=x_seq, us=us, hs=hs, logits=logits, y_hat=y_hat,
@@ -211,9 +218,11 @@ def loss_grad_state(params: RnnParams, y, cache: ForwardCache) -> np.ndarray:
     return params.W_hy.T @ output_delta(y, cache)
 
 
-def _check_cache(params, cache, stack: np.ndarray):
+def _check_cache(params, cache, stack: np.ndarray | None):
     """Check that a forward cache fits params; ``stack`` is the cell's
     (tau, p, B) per-step stack (pre-activations, or the GRU's reset gates)."""
+    if stack is None:
+        raise CacheMismatch("forward ran with states=False and kept no per-step states")
     tau, p, B = stack.shape
     if p != params.p or cache.xs.shape[1] != params.d:
         raise CacheMismatch(

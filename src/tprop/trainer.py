@@ -79,7 +79,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.model == "gru" and self.method != BP and self.method != TP:
             raise ConfigError("gru supports methods bp and tp only")
-        if self.hidden < 1 or self.batch < 1 or self.iters < 0:
+        if self.hidden < 1 or self.batch < 1 or self.iters < 1:
             raise ConfigError("hidden, batch and iters must be positive")
         if self.task != "pixels" and self.T < 10:
             raise ConfigError("synthetic tasks need T >= 10")
@@ -87,6 +87,10 @@ class ExperimentConfig:
             raise ConfigError("k must be at least 1 pixel per step")
         if self.r < 0:
             raise ConfigError("ridge coefficient must be nonnegative")
+        if not (self.gamma >= 0 and self.gamma_h >= 0 and self.gamma_theta >= 0):
+            raise ConfigError("stepsizes gamma, gamma_h and gamma_theta must be nonnegative")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must lie in [0, 1)")
         if not 0 < self.epsilon < 0.5:
             raise ConfigError("projection clip margin epsilon must lie in (0, 0.5)")
         from .activations import ACTIVATIONS
@@ -305,10 +309,10 @@ def nesterov_step(theta: dict, velocity: dict, grad: dict,
         theta[name] += momentum * v - gamma * g
 
 
-def _forward_for(params, inputs):
+def _forward_for(params, inputs, states: bool = True):
     if isinstance(params, gru_mod.GruParams):
-        return gru_mod.gru_forward(params, inputs)
-    return rnn.forward(params, inputs)
+        return gru_mod.gru_forward(params, inputs, states=states)
+    return rnn.forward(params, inputs, states=states)
 
 
 def _direction_for(cfg, params, cache, y, hyper):
@@ -328,20 +332,22 @@ def _direction_for(cfg, params, cache, y, hyper):
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
     """Held-out accuracy: fresh batches for synthetic tasks, the test split
-    (in n_batches slices of 250, or all of it for n_batches = 0) for images."""
+    (in n_batches slices of 250, or all of it for n_batches = 0) for images.
+    The forward passes keep no per-step states, so memory does not grow
+    with the sequence length."""
     if isinstance(task, _PixelTask):
         n = task.test.n if n_batches == 0 else min(task.test.n, 250 * n_batches)
         correct = 0
         for start in range(0, n, 250):
             idx = np.arange(start, min(start + 250, n))
             b = tasks.image_batch(task.test, idx, task.k, task.permutation)
-            cache = _forward_for(params, b.inputs)
+            cache = _forward_for(params, b.inputs, states=False)
             correct += int(np.sum(np.argmax(cache.y_hat, axis=0) == b.labels))
         return correct / n
     accs = []
     for _ in range(max(n_batches, 1)):
         b = task.sample(rng)
-        cache = _forward_for(params, b.inputs)
+        cache = _forward_for(params, b.inputs, states=False)
         accs.append(task.accuracy(cache.y_hat, b.labels))
     return float(np.mean(accs))
 
@@ -389,6 +395,9 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                 log.diverged_at = it
                 break
             nesterov_step(theta, velocity, g, stepsize, momentum)
+            # Release this batch's rollout now, not when the next forward
+            # rebinds it, so one cache is live at a time.
+            cache = g = None
             log.iters.append(it)
             log.losses.append(loss)
             log.accs.append(acc)

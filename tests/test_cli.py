@@ -83,7 +83,10 @@ def test_train_rejects_bad_config_value(tmp_path, capsys):
     data = tmp_path / "idx"
     write_tiny_idx(data)
     for bad in (["--task", "temporal-order", "--batch", "0"],
-                ["--task", "pixels", "--data-dir", str(data), "--k", "0", "--batch", "2"]):
+                ["--task", "pixels", "--data-dir", str(data), "--k", "0", "--batch", "2"],
+                ["--gamma-h", "-1", "--iters", "3"],
+                ["--method", "bp", "--momentum", "1.5", "--iters", "3"],
+                ["--iters", "0"]):
         argv = ["train", *bad, "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -208,6 +211,12 @@ def test_bench_csv_counts_inversions(tmp_path, capsys):
         assert float(ms) > 0.0
         assert int(inversions) == (1 if method == "tp" else 0)
     assert capsys.readouterr().out.startswith("tau,p,method")
+
+
+def test_bench_rejects_nonpositive_sizes(capsys):
+    for bad in (["--reps", "0"], ["--batch", "0"], ["--tau-grid", "0"], ["--p-grid", "-1"]):
+        assert main(["bench", "--tau-grid", "5", "--p-grid", "8", *bad]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 def test_check_suite_reports_all_pass(capsys):

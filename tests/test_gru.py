@@ -12,7 +12,7 @@ from tprop.gru import (
     init_gru_params,
 )
 from tprop.linalg import factorization_count
-from tprop.rnn import MSE, CacheMismatch, loss
+from tprop.rnn import MSE, SOFTMAX_CE, CacheMismatch, loss
 from tprop.targetprop import TpHyper
 
 
@@ -67,6 +67,19 @@ def test_forward_at_pixel_scale(rng):
     assert cache.hs[-1].shape == (100, 2)
 
 
+@pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_without_states_gives_the_same_prediction(output_kind, seed):
+    rng = np.random.default_rng(seed)
+    params = init_gru_params(6, 3, 2, output_kind=output_kind, seed=seed)
+    xs = rng.standard_normal((40, 3, 5))
+    full = gru_forward(params, xs)
+    lean = gru_forward(params, xs, states=False)
+    assert all(getattr(lean, k) is None for k in ("hs", "ms", "zs", "ns", "avs"))
+    assert lean.logits.tobytes() == full.logits.tobytes()
+    assert lean.y_hat.tobytes() == full.y_hat.tobytes()
+
+
 def test_bptt_matches_finite_differences(rng):
     from tprop.diagnostics import finite_diff_check
 
@@ -112,9 +125,17 @@ def test_bptt_saturated_update_gate_drops_carry_term(rng):
 def test_bptt_cache_mismatch():
     params = init_gru_params(4, 2, 3, seed=0)
     other = init_gru_params(5, 2, 3, seed=0)
+    y = np.zeros(3, dtype=np.int64)
     cache = gru_forward(other, np.zeros((2, 2, 3)))
     with pytest.raises(CacheMismatch):
-        gru_bptt(params, cache, np.zeros(3, dtype=np.int64))
+        gru_bptt(params, cache, y)
+    lean = gru_forward(params, np.zeros((2, 2, 3)), states=False)
+    with pytest.raises(CacheMismatch, match="states=False"):
+        gru_bptt(params, lean, y)
+    before = factorization_count()
+    with pytest.raises(CacheMismatch, match="states=False"):
+        gru_tp_backward(params, lean, y, hyper())
+    assert factorization_count() == before
 
 
 def test_precompute_orthogonal_r0_gives_transposes():

@@ -219,9 +219,16 @@ def test_bptt_matches_finite_differences(rng):
 def test_bptt_cache_mismatch():
     params = init_params(4, 2, 3, seed=0)
     other = init_params(5, 2, 3, seed=0)
+    y = np.zeros(3, dtype=np.int64)
     cache = forward(other, np.zeros((2, 2, 3)))
     with pytest.raises(CacheMismatch):
-        bptt(params, cache, np.zeros(3, dtype=np.int64))
+        bptt(params, cache, y)
+    # a rollout without per-step states serves predictions, not a backward pass
+    lean = forward(params, np.zeros((2, 2, 3)), states=False)
+    with pytest.raises(CacheMismatch, match="states=False"):
+        bptt(params, lean, y)
+    with pytest.raises(CacheMismatch, match="states=False"):
+        loss_grad_state(params, y, lean)
 
 
 def test_batch_linearity_of_gradients(rng):
@@ -262,13 +269,22 @@ def test_output_delta_rows_sum_to_zero_for_ce(rng):
     npt.assert_allclose(delta.sum(axis=0), np.zeros(5), atol=1e-12)
 
 
-@given(seed=st.integers(min_value=0, max_value=9999))
-@settings(max_examples=25)
-def test_forward_deterministic_in_params_and_inputs(seed):
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    activation=st.sampled_from(sorted(ACTIVATIONS)),
+    output_kind=st.sampled_from((SOFTMAX_CE, MSE)),
+)
+@settings(max_examples=50)
+def test_forward_deterministic_in_params_and_inputs(seed, activation, output_kind):
     rng = np.random.default_rng(seed)
-    params = init_params(3, 2, 2, seed=seed)
+    params = init_params(3, 2, 2, activation, output_kind, seed=seed)
     xs = rng.standard_normal((4, 2, 2))
     a = forward(params, xs)
     b = forward(params, xs)
     assert a.y_hat.tobytes() == b.y_hat.tobytes()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.hs, b.hs))
+    # keeping no per-step states changes no bit of the prediction
+    lean = forward(params, xs, states=False)
+    assert lean.us is None and lean.hs is None
+    assert lean.logits.tobytes() == a.logits.tobytes()
+    assert lean.y_hat.tobytes() == a.y_hat.tobytes()

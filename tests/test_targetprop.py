@@ -4,7 +4,15 @@ import pytest
 
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count, orthogonal_init
-from tprop.rnn import MSE, RnnParams, bptt, forward, init_params, output_delta
+from tprop.rnn import (
+    MSE,
+    CacheMismatch,
+    RnnParams,
+    bptt,
+    forward,
+    init_params,
+    output_delta,
+)
 from tprop.targetprop import (
     EXACT_INVERSE,
     FINITE_DIFFERENCE,
@@ -228,6 +236,19 @@ def test_backward_targets_one_factorization_per_call(rng):
         before = factorization_count()
         backward_targets(params, cache, y, hyper())
         assert factorization_count() - before == 1
+
+
+def test_backward_rejects_cache_without_states():
+    params = init_params(4, 2, 3, seed=0)
+    lean = forward(params, np.zeros((3, 2, 2)), states=False)
+    y = np.zeros(2, dtype=np.int64)
+    passes = [lambda: backward_targets(params, lean, y, hyper()),
+              lambda: backward_targets(params, lean, y, hyper(), debug_true_jacobian=True)]
+    passes += [lambda v=v: tp_direction(params, lean, y, hyper(variant=v))
+               for v in (LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE)]
+    for backward in passes:
+        with pytest.raises(CacheMismatch, match="states=False"):
+            backward()
 
 
 def test_debug_true_jacobian_reproduces_bptt_for_any_activation(rng):

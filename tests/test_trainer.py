@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -248,6 +249,14 @@ def test_config_validation():
             small_config(activation="sigmoid", epsilon=eps).validate()
         with pytest.raises(ConfigError):
             small_config(model="gru", epsilon=eps).validate()
+    for bad in (dict(gamma=-1e-3), dict(gamma_h=-1.0), dict(gamma_theta=-0.1),
+                dict(gamma_h=float("nan")), dict(momentum=-0.1), dict(momentum=1.0),
+                dict(momentum=1.5), dict(iters=0)):
+        with pytest.raises(ConfigError):
+            small_config(**bad).validate()
+    with pytest.raises(ConfigError):
+        grid_search(small_config(), [0.1], [1.0], horizon=0)
+    small_config(gamma=0.0, gamma_h=0.0, gamma_theta=0.0, momentum=0.0, iters=1).validate()
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -306,14 +315,51 @@ def test_train_reaches_forward_and_backward_through_their_modules(monkeypatch):
 
     def counting(fn, name, counts):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name if kwargs.get("states", True) else f"{name}(states=False)"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for (model, method), names in called.items():
         counts = {attr: 0 for _, attr in hooks}
+        counts.update({"forward(states=False)": 0, "gru_forward(states=False)": 0})
+        cfg = small_config(model=model, method=method, iters=2)
         with monkeypatch.context() as m:
             for module, attr in hooks:
                 m.setattr(module, attr, counting(getattr(module, attr), attr, counts))
-            train(small_config(model=model, method=method, iters=2))
-        assert counts == {a: 2 if a in names else 0 for a in counts}, (model, method)
+            res = train(cfg)
+            # evaluation runs the same forward, keeping no per-step states
+            evaluate(res.params, build_task(cfg), 3, np.random.default_rng(0))
+        want = {a: 2 if a in names else 0 for a in counts}
+        want[f"{names[0]}(states=False)"] = 3
+        assert counts == want, (model, method)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", ["rnn", "gru"])
+def test_evaluate_memory_does_not_grow_with_sequence_length(model):
+    # A training rollout stores (tau, p, B) stacks: 2 for the RNN, 5 for the
+    # GRU. Prediction needs only the running state.
+    cfg = small_config(model=model, T=400, hidden=128, batch=32)
+    task = build_task(cfg)
+    params = init_model(cfg, task, seed=0)
+    stack = cfg.T * cfg.hidden * cfg.batch * 8
+    peak = _traced_peak(lambda: evaluate(params, task, 1, np.random.default_rng(0)))
+    assert peak < stack, (peak, stack)
+
+
+def test_train_keeps_one_gru_rollout_live():
+    # One GRU rollout is 5 stacks; the previous iteration's cache must be
+    # released before the next forward allocates its own.
+    cfg = small_config(model="gru", method="tp", T=200, hidden=64, batch=32, iters=2)
+    stack = cfg.T * cfg.hidden * cfg.batch * 8
+    peak = _traced_peak(lambda: train(cfg))
+    assert peak < 7 * stack, peak / stack
