@@ -1,10 +1,12 @@
 """Pointwise activations with derivatives and analytic inverses.
 
-Each activation knows how to clip a target back into (a slightly shrunken
-copy of) its image, invert itself on that clipped range, and differentiate
-the inverse. The shrink margin eps keeps inverses and their derivatives
-finite near saturation; callers project first and the inverse-side methods
-enforce that with a range check.
+Derivatives take the output h = a(u), not u (1 - h^2 for tanh), so a
+rollout that keeps its states needs no pre-activations. Each activation
+also knows how to clip a target back into (a slightly shrunken copy of) its
+image, invert itself on that clipped range, and differentiate the inverse.
+The shrink margin eps keeps inverses and their derivatives finite near
+saturation; callers project first and the inverse-side methods enforce that
+with a range check.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class Activation:
     def apply(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def deriv(self, u: np.ndarray) -> np.ndarray:
+    def deriv(self, h: np.ndarray) -> np.ndarray:
+        """a'(u), given the output h = a(u) rather than u itself."""
         raise NotImplementedError
 
     def projected_range(self, eps: float) -> tuple[float, float]:
@@ -80,9 +83,8 @@ class Tanh(Activation):
     def apply(self, u):
         return np.tanh(u)
 
-    def deriv(self, u):
-        t = np.tanh(u)
-        return 1.0 - t * t
+    def deriv(self, h):
+        return 1.0 - h * h
 
     def projected_range(self, eps):
         return (-1.0 + eps, 1.0 - eps)
@@ -106,9 +108,8 @@ class Sigmoid(Activation):
     def apply(self, u):
         return sigmoid(u)
 
-    def deriv(self, u):
-        s = sigmoid(u)
-        return s * (1.0 - s)
+    def deriv(self, h):
+        return h * (1.0 - h)
 
     def projected_range(self, eps):
         return (eps, 1.0 - eps)
@@ -134,8 +135,8 @@ class ReLU(Activation):
     def apply(self, u):
         return np.maximum(u, 0.0)
 
-    def deriv(self, u):
-        return (np.asarray(u) > 0.0).astype(np.float64)
+    def deriv(self, h):
+        return (np.asarray(h) > 0.0).astype(np.float64)
 
     def projected_range(self, eps):
         return (eps, np.inf)
@@ -153,8 +154,8 @@ class Identity(Activation):
     def apply(self, u):
         return np.asarray(u, dtype=np.float64)
 
-    def deriv(self, u):
-        return np.ones_like(np.asarray(u, dtype=np.float64))
+    def deriv(self, h):
+        return np.ones_like(np.asarray(h, dtype=np.float64))
 
     def projected_range(self, eps):
         return (-np.inf, np.inf)

@@ -225,7 +225,10 @@ def _float_grid(text: str) -> list[float]:
 
 
 def _int_grid(text: str) -> list[int]:
-    return [int(x) for x in _float_grid(text)]
+    values = _float_grid(text)
+    if not all(v.is_integer() for v in values):
+        raise trainer.ConfigError(f"bad grid {text!r}, want comma-separated integers")
+    return [int(v) for v in values]
 
 
 def cmd_grid(args) -> int:

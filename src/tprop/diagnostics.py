@@ -110,8 +110,9 @@ def _propagator_pair(params, V, cache, t, column, eps):
     """The two operators the backward recursions apply at step t for one
     sample: transposed layer Jacobian, and linearized inverse."""
     act = params.activation
-    s_fwd = act.deriv(cache.us[t][:, column])
-    s_inv = act.inv_deriv(act.project(cache.hs[t + 1][:, column], eps), eps)
+    h = cache.hs[t + 1][:, column]
+    s_fwd = act.deriv(h)
+    s_inv = act.inv_deriv(act.project(h, eps), eps)
     M_bp = params.W_hh.T * s_fwd[None, :]
     M_tp = V * s_inv[None, :]
     return M_bp, M_tp
@@ -135,7 +136,7 @@ def direction_gap(
     d = targetprop.backward_targets(params, cache, y, hyper)
     measured = max(spectral_norm(grads[n] + d[n]) for n in THETA_H)
     V = targetprop.precompute_V(params, r)
-    tau, _, B = cache.us.shape
+    tau, _, B = cache.xs.shape
     a_sup = b_sup = 0.0
     layer_gaps = []
     for t in range(tau):
@@ -176,7 +177,7 @@ def layer_jacobian_gap(
     if np.any(h <= lo) or np.any(h >= hi):
         raise Saturation("attained state reaches the projection clip")
     V = linalg.ridge_pinv(params.W_hh, r)
-    s_fwd = act.deriv(u)
+    s_fwd = act.deriv(h)
     s_inv = act.inv_deriv(h, eps)
     measured = spectral_norm(params.W_hh.T * s_fwd[None, :] - V * s_inv[None, :])
     p = params.p

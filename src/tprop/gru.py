@@ -199,7 +199,7 @@ def _transposed_jacobian(params: GruParams, cache: GruCache):
 
 def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    rnn._check_cache(params, cache, cache.ms)
+    rnn._check_cache(params, cache)
     return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params, cache))
 
 
@@ -252,7 +252,7 @@ def gru_tp_backward(
     pieces instead, which makes the recurrent-tensor result equal
     -gamma_h times :func:`gru_bptt`.
     """
-    rnn._check_cache(params, cache, cache.ms)
+    rnn._check_cache(params, cache)
     Vs = gru_precompute(params, hyper.r)
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params, cache)

@@ -70,13 +70,12 @@ class RnnParams:
 class ForwardCache:
     """Everything the backward passes need from one rollout.
 
-    hs stacks h_0 .. h_tau (so hs[0] is the zero initial state), us the
-    pre-activations of steps 1 .. tau. Both are None when the rollout kept
-    no per-step states; such a cache serves losses and predictions only.
+    hs stacks h_0 .. h_tau (so hs[0] is the zero initial state); a'(u_t) is
+    read from h_t. hs is None when the rollout kept no per-step states; such
+    a cache serves losses and predictions only.
     """
 
     xs: np.ndarray           # (tau, d, B)
-    us: np.ndarray | None    # (tau, p, B)
     hs: np.ndarray | None    # (tau + 1, p, B)
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B); softmax probabilities, or the logits for mse
@@ -149,7 +148,6 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> For
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     p = params.p
-    us = np.empty((tau, p, B)) if states else None
     hs = np.zeros((tau + 1, p, B)) if states else None
     act = params.activation
     h = np.zeros((p, B))
@@ -157,11 +155,10 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> For
         u = params.W_xh @ x_seq[t] + params.W_hh @ h + params.b_h[:, None]
         h = act.apply(u)
         if states:
-            us[t] = u
             hs[t + 1] = h
     logits, y_hat = _head(params, h)
     return ForwardCache(
-        xs=x_seq, us=us, hs=hs, logits=logits, y_hat=y_hat,
+        xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,
         output_kind=params.output_kind,
     )
 
@@ -214,23 +211,18 @@ def output_delta(y, cache: ForwardCache) -> np.ndarray:
 
 def loss_grad_state(params: RnnParams, y, cache: ForwardCache) -> np.ndarray:
     """Gradient of the batch-mean loss with respect to h_tau, shape (p, B)."""
-    _check_cache(params, cache, cache.us)
+    _check_cache(params, cache)
     return params.W_hy.T @ output_delta(y, cache)
 
 
-def _check_cache(params, cache, stack: np.ndarray | None):
-    """Check that a forward cache fits params; ``stack`` is the cell's
-    (tau, p, B) per-step stack (pre-activations, or the GRU's reset gates)."""
-    if stack is None:
+def _check_cache(params, cache):
+    """Check that a forward cache of either cell kept its states and fits params."""
+    if cache.hs is None:
         raise CacheMismatch("forward ran with states=False and kept no per-step states")
-    tau, p, B = stack.shape
-    if p != params.p or cache.xs.shape[1] != params.d:
-        raise CacheMismatch(
-            f"cache built for (p={p}, d={cache.xs.shape[1]}), "
-            f"params have (p={params.p}, d={params.d})"
-        )
-    if cache.hs.shape != (tau + 1, p, B):
-        raise CacheMismatch("hidden-state stack inconsistent with the per-step stacks")
+    tau, d, B = cache.xs.shape
+    if d != params.d or cache.hs.shape != (tau + 1, params.p, B):
+        raise CacheMismatch(f"cache inputs {cache.xs.shape} and states {cache.hs.shape} "
+                            f"do not fit params with p={params.p}, d={params.d}")
     if cache.logits.shape[0] != params.n_out:
         raise CacheMismatch("output head size changed since the forward pass")
     if cache.output_kind != params.output_kind:
@@ -253,7 +245,7 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
     product per tensor once the loop is done. Returns the directions of
     W_xh, W_hh and b_h.
     """
-    es = params.activation.deriv(cache.us)  # a'(u_t), overwritten by e_t below
+    es = params.activation.deriv(cache.hs[1:])  # a'(u_t), overwritten by e_t below
     lam = signal
     for t in range(cache.tau - 1, -1, -1):
         e = np.multiply(es[t], lam, out=es[t])
@@ -295,5 +287,5 @@ def _backward(params, cache, y, sweep, propagate, gamma_h: float | None = None) 
 
 def bptt(params: RnnParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    _check_cache(params, cache, cache.us)
+    _check_cache(params, cache)
     return _backward(params, cache, y, _sweep, _transposed_jacobian(params))

@@ -122,7 +122,7 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
 
 
 def _backward(params, cache, y, hyper, rule) -> rnn.Direction:
-    rnn._check_cache(params, cache, cache.us)
+    rnn._check_cache(params, cache)
     V = precompute_V(params, hyper.r)
     propagate = _propagator(params, cache, V, rule, hyper.epsilon)
     return rnn._backward(params, cache, y, rnn._sweep, propagate, hyper.gamma_h)

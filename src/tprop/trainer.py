@@ -85,10 +85,10 @@ class ExperimentConfig:
             raise ConfigError("synthetic tasks need T >= 10")
         if self.k < 1:
             raise ConfigError("k must be at least 1 pixel per step")
-        if self.r < 0:
-            raise ConfigError("ridge coefficient must be nonnegative")
-        if not (self.gamma >= 0 and self.gamma_h >= 0 and self.gamma_theta >= 0):
-            raise ConfigError("stepsizes gamma, gamma_h and gamma_theta must be nonnegative")
+        if not 0 <= self.r < np.inf:
+            raise ConfigError("ridge coefficient must be finite and nonnegative")
+        if not all(0 <= g < np.inf for g in (self.gamma, self.gamma_h, self.gamma_theta)):
+            raise ConfigError("stepsizes gamma, gamma_h, gamma_theta must be finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0 < self.epsilon < 0.5:
@@ -455,6 +455,8 @@ def grid_search(
     same seed. Diverged cells get area nan. Cells are independent runs, so
     jobs > 1 fans them out over processes.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cfg = dataclasses.replace(base, iters=horizon, stop_at_acc=0.0)
     cfg.validate()
     work = [(cfg, float(gt), float(r)) for gt in gamma_theta_grid for r in r_grid]

@@ -31,9 +31,11 @@ def test_apply_fixed_points():
 
 
 def test_deriv_fixed_points():
-    npt.assert_allclose(TANH.deriv(np.array([0.0])), [1.0], atol=1e-15)
-    npt.assert_allclose(RELU.deriv(np.array([-1.0])), [0.0], atol=0)
-    npt.assert_allclose(RELU.deriv(np.array([2.0])), [1.0], atol=0)
+    # deriv takes the output a(u), not u
+    npt.assert_allclose(TANH.deriv(TANH.apply(np.array([0.0]))), [1.0], atol=1e-15)
+    npt.assert_allclose(SIGMOID.deriv(SIGMOID.apply(np.array([0.0]))), [0.25], atol=1e-15)
+    npt.assert_allclose(RELU.deriv(RELU.apply(np.array([-1.0]))), [0.0], atol=0)
+    npt.assert_allclose(RELU.deriv(RELU.apply(np.array([2.0]))), [1.0], atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
@@ -42,7 +44,7 @@ def test_deriv_matches_finite_difference(name, rng):
     u = rng.uniform(0.2, 1.5, size=40)  # positive side keeps relu away from its kink
     step = 1e-6
     fd = (act.apply(u + step) - act.apply(u - step)) / (2 * step)
-    npt.assert_allclose(act.deriv(u), fd, rtol=1e-6, atol=1e-9)
+    npt.assert_allclose(act.deriv(act.apply(u)), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_project_tanh_clips():
@@ -108,7 +110,8 @@ def test_inverse_function_theorem(name, rng):
     act = ACTIVATIONS[name]
     lo, hi = INTERIOR[name]
     v = rng.uniform(lo, hi, size=30)
-    prod = act.deriv(act.inverse(v)) * act.inv_deriv(v)
+    # a'(u) at the u = a^{-1}(v) whose output is v
+    prod = act.deriv(act.apply(act.inverse(v))) * act.inv_deriv(v)
     npt.assert_allclose(prod, np.ones_like(v), atol=1e-10)
 
 

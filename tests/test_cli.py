@@ -86,7 +86,12 @@ def test_train_rejects_bad_config_value(tmp_path, capsys):
                 ["--task", "pixels", "--data-dir", str(data), "--k", "0", "--batch", "2"],
                 ["--gamma-h", "-1", "--iters", "3"],
                 ["--method", "bp", "--momentum", "1.5", "--iters", "3"],
-                ["--iters", "0"]):
+                ["--iters", "0"],
+                ["--r", "nan", "--iters", "3"],
+                ["--r", "inf", "--iters", "3"],
+                ["--gamma-theta", "inf", "--iters", "3"],
+                ["--gamma-h", "inf", "--iters", "3"],
+                ["--method", "bp", "--gamma", "inf", "--iters", "3"]):
         argv = ["train", *bad, "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -198,6 +203,16 @@ def test_grid_writes_csv_and_heatmap(tmp_path, capsys):
     assert svg.count("<rect") >= 4
 
 
+def test_grid_rejects_nonpositive_jobs(tmp_path, capsys):
+    for jobs in ("0", "-4"):
+        argv = ["grid", "--T", "12", "--hidden", "4", "--batch", "2", "--iters", "3",
+                "--gamma-theta-grid", "0.1", "--r-grid", "1", "--jobs", jobs,
+                "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_bench_csv_counts_inversions(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     argv = ["bench", "--tau-grid", "5,10", "--p-grid", "8", "--batch", "2",
@@ -214,7 +229,8 @@ def test_bench_csv_counts_inversions(tmp_path, capsys):
 
 
 def test_bench_rejects_nonpositive_sizes(capsys):
-    for bad in (["--reps", "0"], ["--batch", "0"], ["--tau-grid", "0"], ["--p-grid", "-1"]):
+    for bad in (["--reps", "0"], ["--batch", "0"], ["--tau-grid", "0"], ["--p-grid", "-1"],
+                ["--tau-grid", "10.9"], ["--p-grid", "inf"]):
         assert main(["bench", "--tau-grid", "5", "--p-grid", "8", *bad]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 

@@ -157,7 +157,7 @@ def test_direction_gap_within_bound_generic(seed):
     assert not rep.violation
     assert rep.measured > 0.0
     assert rep.a >= 0 and rep.b >= 0 and rep.c >= 1.0
-    assert len(rep.layer_gaps) == cache.us.shape[0]
+    assert len(rep.layer_gaps) == cache.tau
 
 
 def test_direction_gap_bound_grows_with_r_near_linear():

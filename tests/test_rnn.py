@@ -61,8 +61,8 @@ def test_forward_shapes_at_experiment_scale(rng):
     cache = forward(params, xs)
     assert cache.tau == 60 and cache.batch == 20
     assert len(cache.hs) == 61
-    for h, u in zip(cache.hs[1:], cache.us):
-        assert h.shape == (100, 20) and u.shape == (100, 20)
+    for h in cache.hs[1:]:
+        assert h.shape == (100, 20)
     assert cache.y_hat.shape == (4, 20)
 
 
@@ -72,7 +72,8 @@ def test_forward_cache_states_match_preactivations(rng):
     cache = forward(params, xs)
     npt.assert_allclose(cache.hs[0], 0.0, atol=0)
     for t in range(4):
-        npt.assert_allclose(cache.hs[t + 1], np.tanh(cache.us[t]), atol=1e-15)
+        u = params.W_xh @ xs[t] + params.W_hh @ cache.hs[t] + params.b_h[:, None]
+        npt.assert_allclose(cache.hs[t + 1], np.tanh(u), atol=1e-15)
 
 
 def test_forward_dimension_mismatch():
@@ -285,6 +286,6 @@ def test_forward_deterministic_in_params_and_inputs(seed, activation, output_kin
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.hs, b.hs))
     # keeping no per-step states changes no bit of the prediction
     lean = forward(params, xs, states=False)
-    assert lean.us is None and lean.hs is None
+    assert lean.hs is None
     assert lean.logits.tobytes() == a.logits.tobytes()
     assert lean.y_hat.tobytes() == a.y_hat.tobytes()

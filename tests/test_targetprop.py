@@ -130,11 +130,12 @@ def test_inverse_jacobian_apply_matches_directional_fd(rng):
 def _per_step_reference(params, cache, lam, step):
     """The loop form of the backward sweep: each step's outer products are
     accumulated as the recursion goes, and step(t, lam, e) is applied with
-    nothing computed ahead of the loop."""
-    act = params.activation
+    nothing computed ahead of the loop. Written for tanh, with u_t rebuilt
+    from the params rather than read back from the states."""
     d = {k: np.zeros_like(v) for k, v in params.tensors().items() if k in THETA_H}
     for t in range(cache.tau - 1, -1, -1):
-        e = act.deriv(cache.us[t]) * lam
+        u = params.W_xh @ cache.xs[t] + params.W_hh @ cache.hs[t] + params.b_h[:, None]
+        e = (1.0 - np.tanh(u) ** 2) * lam
         d["W_hh"] += e @ cache.hs[t].T
         d["W_xh"] += e @ cache.xs[t].T
         d["b_h"] += e.sum(axis=1)

@@ -254,9 +254,16 @@ def test_config_validation():
                 dict(momentum=1.5), dict(iters=0)):
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
+    for name in ("r", "gamma", "gamma_h", "gamma_theta"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                small_config(**{name: value}).validate()
     with pytest.raises(ConfigError):
         grid_search(small_config(), [0.1], [1.0], horizon=0)
-    small_config(gamma=0.0, gamma_h=0.0, gamma_theta=0.0, momentum=0.0, iters=1).validate()
+    for jobs in (0, -4):
+        with pytest.raises(ConfigError, match="jobs"):
+            grid_search(small_config(), [0.1], [1.0], horizon=2, jobs=jobs)
+    small_config(gamma=0.0, gamma_h=0.0, gamma_theta=0.0, momentum=0.0, iters=1, r=0.0).validate()
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -346,8 +353,8 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("model", ["rnn", "gru"])
 def test_evaluate_memory_does_not_grow_with_sequence_length(model):
-    # A training rollout stores (tau, p, B) stacks: 2 for the RNN, 5 for the
-    # GRU. Prediction needs only the running state.
+    # A training rollout stores (tau, p, B) stacks: 1 for the RNN (its
+    # states), 5 for the GRU. Prediction needs only the running state.
     cfg = small_config(model=model, T=400, hidden=128, batch=32)
     task = build_task(cfg)
     params = init_model(cfg, task, seed=0)
@@ -363,3 +370,13 @@ def test_train_keeps_one_gru_rollout_live():
     stack = cfg.T * cfg.hidden * cfg.batch * 8
     peak = _traced_peak(lambda: train(cfg))
     assert peak < 7 * stack, peak / stack
+
+
+@pytest.mark.parametrize(("method", "bound"), [("bp", 5.0), ("tp", 5.7)])
+def test_train_rnn_peak_below_bound(method, bound):
+    # The RNN rollout keeps only its states, and a'(u_t) is read from them;
+    # a pre-activation stack would add one more (tau, p, B) stack.
+    cfg = small_config(method=method, T=200, hidden=64, batch=32, iters=2)
+    stack = cfg.T * cfg.hidden * cfg.batch * 8
+    peak = _traced_peak(lambda: train(cfg))
+    assert peak < bound * stack, peak / stack
