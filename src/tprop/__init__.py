@@ -9,9 +9,9 @@ directions from `bptt` (negated) or `tp_direction`, or hand everything to
 
 from .activations import ACTIVATIONS, get_activation
 from .gru import GruParams, gru_bptt, gru_forward, gru_tp_backward, init_gru_params
-from .linalg import SingularSystem, factorization_count, orthogonal_init, ridge_pinv
+from .linalg import SingularSystem, factorization_count, ridge_pinv
 from .rnn import MSE, SOFTMAX_CE, ForwardCache, RnnParams, bptt, forward, init_params, loss
-from .targetprop import TpHyper, backward_targets, tp_direction
+from .targetprop import TpHyper, tp_direction
 from .trainer import ExperimentConfig, MetricsLog, TrainResult, grid_search, train
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "SingularSystem",
     "TpHyper",
     "TrainResult",
-    "backward_targets",
     "bptt",
     "factorization_count",
     "forward",
@@ -40,7 +39,6 @@ __all__ = [
     "init_gru_params",
     "init_params",
     "loss",
-    "orthogonal_init",
     "ridge_pinv",
     "tp_direction",
     "train",

@@ -2,11 +2,10 @@
 
 Derivatives take the output h = a(u), not u (1 - h^2 for tanh), so a
 rollout that keeps its states needs no pre-activations. Each activation
-also knows how to clip a target back into (a slightly shrunken copy of) its
-image, invert itself on that clipped range, and differentiate the inverse.
-The shrink margin eps keeps inverses and their derivatives finite near
-saturation; callers project first and the inverse-side methods enforce that
-with a range check.
+also owns the projection of a target into (a slightly shrunken copy of) its
+image: ``inverse`` and ``inv_deriv`` evaluate a^{-1} and its derivative at
+``project(v, eps)``, so they accept any input and callers never clip. The
+shrink margin eps keeps both finite near saturation.
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ def sigmoid(u):
         return 1.0 / (1.0 + np.exp(-u))
 
 
-class OutOfRange(ValueError):
-    """Value passed to an inverse lies outside the projected range."""
-
-
 class Activation:
     """Base class; subclasses define the actual maps.
 
     ``projected_range(eps)`` returns the closed interval that
-    :meth:`project` clips into. ``inverse`` and ``inv_deriv`` raise
-    OutOfRange for inputs outside that interval.
+    :meth:`project` clips into; ``inverse`` and ``inv_deriv`` read their
+    input through that clip.
     """
 
     name: str = "base"
@@ -50,26 +45,16 @@ class Activation:
         return np.clip(v, lo, hi)
 
     def inverse(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
-        self._check_range(v, eps)
-        return self._inverse(v)
+        return self._inverse(self.project(v, eps))
 
     def inv_deriv(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
-        self._check_range(v, eps)
-        return self._inv_deriv(v)
+        return self._inv_deriv(self.project(v, eps))
 
     def _inverse(self, v):
         raise NotImplementedError
 
     def _inv_deriv(self, v):
         raise NotImplementedError
-
-    def _check_range(self, v, eps):
-        lo, hi = self.projected_range(eps)
-        v = np.asarray(v)
-        if np.any(v < lo) or np.any(v > hi):
-            raise OutOfRange(
-                f"{self.name}: value outside projected range [{lo}, {hi}]"
-            )
 
     def __repr__(self):
         return f"{type(self).__name__}()"

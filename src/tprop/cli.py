@@ -279,7 +279,7 @@ def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0):
             if method == trainer.BP:
                 rnn.bptt(params, cache, y)
             else:
-                targetprop.backward_targets(params, cache, y, hyper)
+                targetprop.tp_direction(params, cache, y, hyper)
         for _ in range(3):
             step()
         times = []

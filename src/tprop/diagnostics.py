@@ -112,7 +112,7 @@ def _propagator_pair(params, V, cache, t, column, eps):
     act = params.activation
     h = cache.hs[t + 1][:, column]
     s_fwd = act.deriv(h)
-    s_inv = act.inv_deriv(act.project(h, eps), eps)
+    s_inv = act.inv_deriv(h, eps)
     M_bp = params.W_hh.T * s_fwd[None, :]
     M_tp = V * s_inv[None, :]
     return M_bp, M_tp
@@ -125,7 +125,7 @@ def direction_gap(
     the recurrent tensors, against the accumulated-propagator bound.
 
     Both directions are produced by the same code paths the trainer uses
-    (bptt and backward_targets at gamma_h = 1, the latter negated since the
+    (bptt and tp_direction at gamma_h = 1, the latter negated since the
     update direction descends). The bound is c * sup_t ||A_t - B_t|| with
     A_t, B_t the per-step propagators, a = sup||A_t||, b = sup||B_t||, and
     c = sum_{t=1..tau} sum_{s<t} a^s b^{t-1-s}. Norms of the per-tensor
@@ -133,7 +133,7 @@ def direction_gap(
     """
     grads = rnn.bptt(params, cache, y)
     hyper = TpHyper(gamma_h=1.0, gamma_theta=0.0, r=r, epsilon=eps)
-    d = targetprop.backward_targets(params, cache, y, hyper)
+    d = targetprop.tp_direction(params, cache, y, hyper)
     measured = max(spectral_norm(grads[n] + d[n]) for n in THETA_H)
     V = targetprop.precompute_V(params, r)
     tau, _, B = cache.xs.shape
@@ -211,6 +211,9 @@ def matrix_product_gap_check(As, Bs, t: int | None = None) -> GapReport:
     return GapReport(measured=spectral_norm(prod_a - prod_b), bound=bound, a=a, b=b)
 
 
+NOISE_MODES = ("zero", "constant", "adversarial")
+
+
 def approx_gd_check(
     dim: int = 10,
     steps: int = 60,
@@ -230,6 +233,8 @@ def approx_gd_check(
     valid for gamma <= 1/(2L). Noise modes: "zero", "constant" (random
     direction, norm eps), "adversarial" (opposing the gradient at norm eps).
     """
+    if noise not in NOISE_MODES:
+        raise ValueError(f"unknown noise mode {noise!r}, expected one of {NOISE_MODES}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, dim))
     H = G.T @ G / dim + 0.1 * np.eye(dim)
@@ -250,11 +255,9 @@ def approx_gd_check(
         elif noise == "constant":
             v = rng.standard_normal(dim)
             e = eps * v / np.linalg.norm(v)
-        elif noise == "adversarial":
+        else:  # adversarial
             gn = np.linalg.norm(g)
             e = -eps * g / gn if gn > 0 else np.zeros(dim)
-        else:
-            raise ValueError(f"unknown noise mode {noise!r}")
         sum_eps2 += float(e @ e)
         x = x - gamma * (g + e)
     bound = (16.0 / 11.0) * f0 / (gamma * steps) + (32.0 / 11.0) * sum_eps2 / steps
@@ -282,18 +285,24 @@ def dtp_linearization_gap(
 # instance builders shared by the suites and the acceptance tests
 
 
+def _orthogonal_rnn(rng, p, d, n_out, activation, w, wx, wy, bh) -> rnn.RnnParams:
+    """A softmax RNN with scaled random orthogonal weights, bh-scaled Gaussian
+    b_h and zero b_y, drawn from rng in the order W_xh, W_hh, b_h, W_hy."""
+    return rnn.RnnParams(
+        W_xh=wx * linalg.orthogonal(rng, p, d),
+        W_hh=w * linalg.orthogonal(rng, p, p),
+        b_h=bh * rng.standard_normal(p),
+        W_hy=wy * linalg.orthogonal(rng, n_out, p),
+        b_y=np.zeros(n_out),
+        activation=get_activation(activation),
+        output_kind=rnn.SOFTMAX_CE,
+    )
+
+
 def _tanh_instance(seed, tau=6, p=6, d=3, n_out=3, B=2,
                    w=0.9, wx=0.5, wy=0.3, x_scale=0.5):
     rng = np.random.default_rng(seed)
-    params = rnn.RnnParams(
-        W_xh=wx * linalg.orthogonal(rng, p, d),
-        W_hh=w * linalg.orthogonal(rng, p, p),
-        b_h=0.1 * rng.standard_normal(p),
-        W_hy=wy * linalg.orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        activation=get_activation("tanh"),
-        output_kind=rnn.SOFTMAX_CE,
-    )
+    params = _orthogonal_rnn(rng, p, d, n_out, "tanh", w=w, wx=wx, wy=wy, bh=0.1)
     x = x_scale * rng.standard_normal((tau, d, B))
     y = rng.integers(0, n_out, size=B)
     cache = rnn.forward(params, x)
@@ -323,15 +332,7 @@ def _grad_gru_instance(seed, tau=3, p=4, d=2, n_out=3, B=3):
 
 def _identity_instance(seed, tau=20, p=8, d=4, n_out=3, B=4):
     rng = np.random.default_rng(seed)
-    params = rnn.RnnParams(
-        W_xh=linalg.orthogonal(rng, p, d),
-        W_hh=linalg.orthogonal(rng, p, p),
-        b_h=0.2 * rng.standard_normal(p),
-        W_hy=0.3 * linalg.orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        activation=get_activation("identity"),
-        output_kind=rnn.SOFTMAX_CE,
-    )
+    params = _orthogonal_rnn(rng, p, d, n_out, "identity", w=1.0, wx=1.0, wy=0.3, bh=0.2)
     x = rng.standard_normal((tau, d, B))
     y = rng.integers(0, n_out, size=B)
     cache = rnn.forward(params, x)
@@ -386,7 +387,7 @@ def suite_equiv(seeds=range(10)) -> list[SuiteCheck]:
         params, cache, y = _identity_instance(seed)
         grads = rnn.bptt(params, cache, y)
         hyper = TpHyper(gamma_h=gamma_h, gamma_theta=0.0, r=0.0)
-        d = targetprop.backward_targets(params, cache, y, hyper)
+        d = targetprop.tp_direction(params, cache, y, hyper)
         expected = {n: -gamma_h * grads[n] for n in THETA_H}
         expected["W_hy"] = -grads["W_hy"]
         expected["b_y"] = -grads["b_y"]
@@ -406,15 +407,7 @@ def suite_lemma(seeds=range(20), n_products=100) -> list[SuiteCheck]:
     for seed in seeds:
         rng = np.random.default_rng(1000 + seed)
         p, d = 6, 3
-        params = rnn.RnnParams(
-            W_xh=0.5 * linalg.orthogonal(rng, p, d),
-            W_hh=1.1 * linalg.orthogonal(rng, p, p),
-            b_h=0.1 * rng.standard_normal(p),
-            W_hy=linalg.orthogonal(rng, 2, p),
-            b_y=np.zeros(2),
-            activation=get_activation("tanh"),
-            output_kind=rnn.SOFTMAX_CE,
-        )
+        params = _orthogonal_rnn(rng, p, d, 2, "tanh", w=1.1, wx=0.5, wy=1.0, bh=0.1)
         h_prev = 0.6 * (2.0 * rng.random(p) - 1.0)
         x_t = 0.5 * rng.standard_normal(d)
         rep = layer_jacobian_gap(params, h_prev, x_t, r=0.5)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rnn
-from .activations import sigmoid
+from .activations import ACTIVATIONS, sigmoid
 from .rnn import Direction, SOFTMAX_CE, OUTPUT_KINDS
 from .targetprop import TpHyper
 
@@ -203,31 +203,20 @@ def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params, cache))
 
 
-def gru_precompute(params: GruParams, r: float):
-    """Ridge pseudo-inverses of the three recurrent matrices (V_m, V_z, V_n)."""
-    V_m = linalg.ridge_pinv(params.W_hm, r)
-    V_z = linalg.ridge_pinv(params.W_hz, r)
-    V_n = linalg.ridge_pinv(params.W_hn, r)
-    return V_m, V_z, V_n
-
-
 def _linearized_inverse(cache: GruCache, Vs, eps: float):
     """TP's propagator: each transposed-Jacobian piece replaced by the
-    linearized regularized inverse of its gate map. Gate values are clipped
-    to [eps, 1-eps] before the logit derivative 1/(v(1-v)) is evaluated."""
+    linearized regularized inverse of its gate map. The logit derivative of
+    each gate is evaluated at the gate value projected into [eps, 1-eps]."""
     V_m, V_z, V_n = Vs
+    logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
 
     def propagate(t, dh, dzeta, dmu, da):
         z, m, n, av = cache.zs[t], cache.ms[t], cache.ns[t], cache.avs[t]
         tanhp = 1.0 - n * n
-        zc = np.clip(z, eps, 1.0 - eps)
-        mc = np.clip(m, eps, 1.0 - eps)
-        inv_dz = 1.0 / (zc * (1.0 - zc))
-        inv_dm = 1.0 / (mc * (1.0 - mc))
         return (
             (1.0 - z) * dh
-            + V_z @ (inv_dz * (n - cache.hs[t]) * dh)
-            + V_m @ (inv_dm * av * tanhp * z * dh)
+            + V_z @ (logit_deriv(z, eps) * (n - cache.hs[t]) * dh)
+            + V_m @ (logit_deriv(m, eps) * av * tanhp * z * dh)
             + V_n @ (m * tanhp * z * dh)
         )
 
@@ -253,7 +242,7 @@ def gru_tp_backward(
     -gamma_h times :func:`gru_bptt`.
     """
     rnn._check_cache(params, cache)
-    Vs = gru_precompute(params, hyper.r)
+    Vs = [linalg.ridge_pinv(W, hyper.r) for W in (params.W_hm, params.W_hz, params.W_hn)]
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params, cache)
     else:

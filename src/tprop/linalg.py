@@ -42,7 +42,7 @@ def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
     ----------
     W : (m, n) array
     r : float
-        Ridge coefficient, must be nonnegative. With r = 0 the matrix W has
+        Ridge coefficient, finite and nonnegative. With r = 0 the matrix W has
         to be full column rank, otherwise SingularSystem is raised.
 
     Returns
@@ -53,8 +53,8 @@ def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {W.shape}")
-    if r < 0:
-        raise ValueError(f"ridge coefficient must be nonnegative, got {r}")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"ridge coefficient must be finite and nonnegative, got {r}")
     n = W.shape[1]
     A = W.T @ W
     A[np.diag_indices(n)] += r
@@ -92,11 +92,6 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     q = q * s
     # keep parameter tensors C-contiguous whatever LAPACK hands back
     return np.ascontiguousarray(q.T if wide else q)
-
-
-def orthogonal_init(p: int, seed: int) -> np.ndarray:
-    """Deterministic random orthogonal p x p matrix for the given seed."""
-    return orthogonal(np.random.default_rng(seed), p, p)
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -209,12 +209,6 @@ def output_delta(y, cache: ForwardCache) -> np.ndarray:
     return 2.0 * (cache.y_hat - y) / (K * B)
 
 
-def loss_grad_state(params: RnnParams, y, cache: ForwardCache) -> np.ndarray:
-    """Gradient of the batch-mean loss with respect to h_tau, shape (p, B)."""
-    _check_cache(params, cache)
-    return params.W_hy.T @ output_delta(y, cache)
-
-
 def _check_cache(params, cache):
     """Check that a forward cache of either cell kept its states and fits params."""
     if cache.hs is None:

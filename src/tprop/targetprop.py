@@ -12,9 +12,10 @@ The regularized inverse of h -> a(W_xh x + W_hh h + b_h) is
     v -> V (a^{-1}(proj(v)) - W_xh x - b_h),   V = (W_hh^T W_hh + r I)^{-1} W_hh^T,
 
 where proj clips v into the activation's shrunken image so a^{-1} stays
-finite. V is computed once per backward pass, whatever the sequence length,
-which is what makes the method cheap; the factorization counter in
-:mod:`tprop.linalg` lets tests pin that down.
+finite; the activation applies it inside its inverse. V is computed once
+per backward pass, whatever the sequence length, which is what makes the
+method cheap; the factorization counter in :mod:`tprop.linalg` lets tests
+pin that down.
 """
 
 from __future__ import annotations
@@ -68,47 +69,21 @@ def inverse_apply(
     Columns are independent samples; x_t is (d, B) and v_t is (p, B), or
     (tau, d, B) and (tau, p, B) stacks of them.
     """
-    act = params.activation
-    z = act.inverse(act.project(v_t, eps), eps)
+    z = params.activation.inverse(v_t, eps)
     return V @ (z - params.W_xh @ x_t - params.b_h[:, None])
 
 
-def inverse_jacobian_T_apply(
-    params: rnn.RnnParams,
-    V: np.ndarray,
-    h_t: np.ndarray,
-    lam: np.ndarray,
-    eps: float = 1e-3,
-) -> np.ndarray:
-    """Linearized inverse step: V diag(da^{-1}(proj(h_t))) lam, columnwise.
-
-    This is the operator the backward recursion applies in place of the
-    transposed layer Jacobian W_hh^T diag(a'(u_t)) that plain backprop uses.
-    The inverse derivative is evaluated at the projected state, which keeps
-    it finite when h_t saturates (the clip is only active there).
-    """
-    act = params.activation
-    s = act.inv_deriv(act.project(h_t, eps), eps)
-    return V @ (s * lam)
-
-
-_TRUE_JACOBIAN = "true_jacobian"  # debug rule, see backward_targets
-
-
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
-                rule: str, eps: float):
-    """The displacement step lam_{t+1} -> lam_t of one rule, as
+                variant: str, eps: float):
+    """The displacement step lam_{t+1} -> lam_t of one variant, as
     ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Pointwise factors that
     do not depend on lam are computed for all steps up front."""
-    if rule == _TRUE_JACOBIAN:
-        # The actual transposed layer Jacobian: reproduces -gamma_h times the
-        # backprop gradient exactly.
-        return rnn._transposed_jacobian(params)
-    if rule == LINEARIZED:
-        act = params.activation
-        S = act.inv_deriv(act.project(cache.hs[1:], eps), eps)
+    if variant == LINEARIZED:
+        # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
+        # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop
+        S = params.activation.inv_deriv(cache.hs[1:], eps)
         return lambda t, lam, e: V @ (S[t] * lam)
-    if rule == FINITE_DIFFERENCE:
+    if variant == FINITE_DIFFERENCE:
         # v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), so the displacement is
         # the difference of the two inverse applications.
         base = inverse_apply(params, V, cache.xs, cache.hs[1:], eps)
@@ -121,42 +96,33 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
     )
 
 
-def _backward(params, cache, y, hyper, rule) -> rnn.Direction:
-    rnn._check_cache(params, cache)
-    V = precompute_V(params, hyper.r)
-    propagate = _propagator(params, cache, V, rule, hyper.epsilon)
-    return rnn._backward(params, cache, y, rnn._sweep, propagate, hyper.gamma_h)
-
-
-def backward_targets(
+def tp_direction(
     params: rnn.RnnParams,
     cache: rnn.ForwardCache,
     y,
     hyper: TpHyper,
     debug_true_jacobian: bool = False,
 ) -> rnn.Direction:
-    """Linearized-inverse backward pass; returns an update direction.
+    """Displacement backward pass of hyper.variant; returns an update direction.
 
     The recursion starts from lambda_tau = -gamma_h * dloss/dh_tau and stops
     after producing the displacement for step 1 (a step-0 displacement would
     multiply nothing). Exactly one matrix factorization happens per call.
-    hyper.variant is ignored: this is always the linearized rule.
+    The difference variant (finite_difference) agrees with the linearized
+    one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
+    plain inverse variant (exact_inverse) drops the correction term.
 
     With ``debug_true_jacobian`` the inverse operator is replaced by the true
     transposed layer Jacobian, which turns the result into -gamma_h times the
     backprop gradient for the recurrent tensors; useful as a wiring check.
     """
-    rule = _TRUE_JACOBIAN if debug_true_jacobian else LINEARIZED
-    return _backward(params, cache, y, hyper, rule)
+    rnn._check_cache(params, cache)
+    V = precompute_V(params, hyper.r)
+    if debug_true_jacobian:
+        propagate = rnn._transposed_jacobian(params)
+    else:
+        propagate = _propagator(params, cache, V, hyper.variant, hyper.epsilon)
+    return rnn._backward(params, cache, y, rnn._sweep, propagate, hyper.gamma_h)
 
 
-def tp_direction(
-    params: rnn.RnnParams, cache: rnn.ForwardCache, y, hyper: TpHyper
-) -> rnn.Direction:
-    """Dispatch on hyper.variant; the training loop calls this.
-
-    The difference variant (finite_difference) agrees with the linearized
-    one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
-    plain inverse variant (exact_inverse) drops the correction term.
-    """
-    return _backward(params, cache, y, hyper, hyper.variant)
+backward_targets = tp_direction  # earlier name, still called by perfbench/gate.py

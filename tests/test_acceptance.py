@@ -131,7 +131,7 @@ def test_criterion_07_factorizations_per_backward(announce):
             y = rng.integers(0, 4, size=B)
             cache = rnn.forward(params, x)
             before = linalg.factorization_count()
-            targetprop.backward_targets(params, cache, y, hyper)
+            targetprop.tp_direction(params, cache, y, hyper)
             n_rnn = linalg.factorization_count() - before
             gparams = gru_mod.init_gru_params(16, 3, 4, rnn.SOFTMAX_CE, 0)
             gcache = gru_mod.gru_forward(gparams, rng.standard_normal((tau, 3, B)))

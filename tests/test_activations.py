@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tprop.activations import ACTIVATIONS, OutOfRange, get_activation
+from tprop.activations import ACTIVATIONS, get_activation
 
 TANH = ACTIVATIONS["tanh"]
 SIGMOID = ACTIVATIONS["sigmoid"]
@@ -79,12 +79,16 @@ def test_inverse_near_clip_matches_reference_value():
 
 
 def test_inverse_out_of_range_raises():
-    with pytest.raises(OutOfRange):
-        TANH.inverse(np.array([0.9999]), eps=1e-3)
-    with pytest.raises(OutOfRange):
-        SIGMOID.inverse(np.array([-0.1]), eps=1e-3)
-    with pytest.raises(OutOfRange):
-        RELU.inverse(np.array([0.0]), eps=1e-3)
+    # inputs outside the projected range are read at their projection: the
+    # values are finite and the same bits as at project(v)
+    cases = ((TANH, [0.9999, 1.0, -1.0]), (SIGMOID, [-0.1, 0.0, 1.0]), (RELU, [0.0]))
+    for act, values in cases:
+        v = np.array(values)
+        pv = act.project(v, 1e-3)
+        for fn in (act.inverse, act.inv_deriv):
+            out = fn(v, eps=1e-3)
+            assert np.all(np.isfinite(out)), (act.name, fn.__name__)
+            assert out.tobytes() == fn(pv, eps=1e-3).tobytes(), (act.name, fn.__name__)
 
 
 def test_inv_deriv_fixed_points():

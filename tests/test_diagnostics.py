@@ -8,6 +8,9 @@ from tprop.diagnostics import (
     GapReport,
     SUITES,
     Saturation,
+    _identity_instance as identity_instance,
+    _orthogonal_rnn,
+    _tanh_instance as tanh_instance,
     approx_gd_check,
     direction_gap,
     dtp_linearization_gap,
@@ -18,38 +21,6 @@ from tprop.diagnostics import (
 )
 
 R_GRID = (0.0, 0.1, 1.0, 10.0, 100.0)
-
-
-def identity_instance(seed, tau=20, p=8, d=4, n_out=3, B=4):
-    rng = np.random.default_rng(seed)
-    params = rnn.RnnParams(
-        W_xh=linalg.orthogonal(rng, p, d),
-        W_hh=linalg.orthogonal(rng, p, p),
-        b_h=0.2 * rng.standard_normal(p),
-        W_hy=0.3 * linalg.orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        activation=get_activation("identity"),
-        output_kind=rnn.SOFTMAX_CE,
-    )
-    x = rng.standard_normal((tau, d, B))
-    y = rng.integers(0, n_out, size=B)
-    return params, rnn.forward(params, x), y
-
-
-def tanh_instance(seed, w=0.9, tau=6, p=6, d=3, n_out=3, B=2, x_scale=0.5):
-    rng = np.random.default_rng(seed)
-    params = rnn.RnnParams(
-        W_xh=0.5 * linalg.orthogonal(rng, p, d),
-        W_hh=w * linalg.orthogonal(rng, p, p),
-        b_h=0.1 * rng.standard_normal(p),
-        W_hy=0.3 * linalg.orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        activation=get_activation("tanh"),
-        output_kind=rnn.SOFTMAX_CE,
-    )
-    x = x_scale * rng.standard_normal((tau, d, B))
-    y = rng.integers(0, n_out, size=B)
-    return params, rnn.forward(params, x), y
 
 
 def near_linear_instance(seed=0):
@@ -210,15 +181,7 @@ def test_layer_gap_bound_grows_with_r():
 def test_layer_gap_within_bound_generic(seed):
     rng = np.random.default_rng(1000 + seed)
     p, d = 6, 3
-    params = rnn.RnnParams(
-        W_xh=0.5 * linalg.orthogonal(rng, p, d),
-        W_hh=1.1 * linalg.orthogonal(rng, p, p),
-        b_h=0.1 * rng.standard_normal(p),
-        W_hy=linalg.orthogonal(rng, 2, p),
-        b_y=np.zeros(2),
-        activation=get_activation("tanh"),
-        output_kind=rnn.SOFTMAX_CE,
-    )
+    params = _orthogonal_rnn(rng, p, d, 2, "tanh", w=1.1, wx=0.5, wy=1.0, bh=0.1)
     h_prev = 0.6 * (2.0 * rng.random(p) - 1.0)
     x_t = 0.5 * rng.standard_normal(d)
     rep = layer_jacobian_gap(params, h_prev, x_t, r=0.5)
@@ -302,6 +265,12 @@ def test_approx_gd_rejects_oversized_stepsize():
 def test_approx_gd_rejects_unknown_noise():
     with pytest.raises(ValueError):
         approx_gd_check(noise="pink", eps=0.1)
+
+
+def test_approx_gd_rejects_unknown_noise_at_zero_eps():
+    # with eps = 0 no noise is ever drawn, so the mode must be checked up front
+    with pytest.raises(ValueError, match="unknown noise mode"):
+        approx_gd_check(noise="bogus", eps=0.0)
 
 
 def test_gap_report_violation_uses_slack():

@@ -7,12 +7,12 @@ from tprop.gru import (
     GruParams,
     gru_bptt,
     gru_forward,
-    gru_precompute,
     gru_tp_backward,
     init_gru_params,
 )
+from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count
-from tprop.rnn import MSE, SOFTMAX_CE, CacheMismatch, loss
+from tprop.rnn import MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
 from tprop.targetprop import TpHyper
 
 
@@ -138,20 +138,60 @@ def test_bptt_cache_mismatch():
     assert factorization_count() == before
 
 
-def test_precompute_orthogonal_r0_gives_transposes():
-    params = init_gru_params(6, 2, 3, seed=6)
-    V_m, V_z, V_n = gru_precompute(params, 0.0)
-    npt.assert_allclose(V_m, params.W_hm.T, atol=1e-9)
-    npt.assert_allclose(V_z, params.W_hz.T, atol=1e-9)
-    npt.assert_allclose(V_n, params.W_hn.T, atol=1e-9)
+def _sigmoid(u):
+    return 1.0 / (1.0 + np.exp(-u))
 
 
-def test_precompute_residuals_at_p100():
-    params = init_gru_params(100, 2, 4, seed=7)
-    V_m, V_z, V_n = gru_precompute(params, 1.0)
-    for V, W in ((V_m, params.W_hm), (V_z, params.W_hz), (V_n, params.W_hn)):
-        A = W.T @ W + np.eye(100)
-        npt.assert_allclose(V, np.linalg.solve(A, W.T), atol=1e-10)
+def _tp_per_step_reference(params, cache, y, hy):
+    """The GRU TP sweep written out one step at a time: gates rebuilt from
+    the params, logit derivatives at explicitly clipped gates, and the ridge
+    inverses of W_hm, W_hz and W_hn from a dense solve."""
+    eye = np.eye(params.p)
+    V_m, V_z, V_n = (np.linalg.solve(W.T @ W + hy.r * eye, W.T)
+                     for W in (params.W_hm, params.W_hz, params.W_hn))
+    lo, hi = hy.epsilon, 1.0 - hy.epsilon
+    d = {k: np.zeros_like(params.tensors()[k]) for k in RECURRENT_TENSORS}
+    dh = -hy.gamma_h * (params.W_hy.T @ output_delta(y, cache))
+    for t in range(cache.tau - 1, -1, -1):
+        x, h = cache.xs[t], cache.hs[t]
+        m = _sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
+        z = _sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
+        av = params.W_hn @ h + params.b_hn[:, None]
+        n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+        dzeta = dh * (n - h) * z * (1.0 - z)
+        dnu = dh * z * (1.0 - n * n)
+        dmu = dnu * av * m * (1.0 - m)
+        da = dnu * m
+        for name, delta, inp in (("W_iz", dzeta, x), ("W_hz", dzeta, h), ("W_im", dmu, x),
+                                 ("W_hm", dmu, h), ("W_in", dnu, x), ("W_hn", da, h)):
+            d[name] += delta @ inp.T
+        for name, delta in (("b_z", dzeta), ("b_m", dmu), ("b_in", dnu), ("b_hn", da)):
+            d[name] += delta.sum(axis=1)
+        if t > 0:
+            zc, mc = np.clip(z, lo, hi), np.clip(m, lo, hi)
+            dh = ((1.0 - z) * dh
+                  + V_z @ ((n - h) * dh / (zc * (1.0 - zc)))
+                  + V_m @ (dnu * av / (mc * (1.0 - mc)))
+                  + V_n @ (m * dnu))
+    return d
+
+
+@pytest.mark.parametrize("saturation", [0.0, 40.0])
+def test_tp_backward_matches_per_step_reference(rng, saturation):
+    params = init_gru_params(6, 3, 3, seed=13)
+    params.b_z[:3] = saturation   # some update gates pinned at 1 ...
+    params.b_m[3:] = -saturation  # ... and some reset gates at 0
+    cache = gru_forward(params, rng.standard_normal((12, 3, 4)))
+    y = rng.integers(0, 3, size=4)
+    hy = hyper(gamma_h=0.05, r=0.5, epsilon=1e-2)
+    gates = np.concatenate([cache.zs, cache.ms])
+    clipped = np.any((gates < hy.epsilon) | (gates > 1.0 - hy.epsilon))
+    assert clipped == (saturation > 0)
+    got = gru_tp_backward(params, cache, y, hy)
+    want = _tp_per_step_reference(params, cache, y, hy)
+    for name in RECURRENT_TENSORS:
+        npt.assert_allclose(got[name], want[name], rtol=1e-12,
+                            atol=1e-15 * np.abs(want[name]).max(), err_msg=name)
 
 
 def test_tp_backward_three_factorizations_per_call(rng):
@@ -216,10 +256,7 @@ def test_tp_backward_finite_under_saturated_gates(rng):
     d = gru_tp_backward(params, cache, rng.integers(0, 2, size=2), hyper())
     for name, tensor in d.items():
         assert np.all(np.isfinite(tensor)), name
-    from tprop.activations import ACTIVATIONS
-
-    z_clipped = np.clip(cache.zs[0], 1e-3, 1 - 1e-3)
-    inv_d = ACTIVATIONS["sigmoid"].inv_deriv(z_clipped)
+    inv_d = ACTIVATIONS["sigmoid"].inv_deriv(cache.zs[0])
     assert np.all(inv_d >= 4.0) and np.all(np.isfinite(inv_d))
 
 

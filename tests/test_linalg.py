@@ -8,10 +8,14 @@ from tprop.linalg import (
     DimensionMismatch,
     SingularSystem,
     factorization_count,
-    orthogonal_init,
+    orthogonal,
     ridge_pinv,
     spectral_norm,
 )
+
+
+def orthogonal_init(p, seed):
+    return orthogonal(np.random.default_rng(seed), p, p)
 
 
 def test_ridge_pinv_identity():
@@ -65,6 +69,16 @@ def test_ridge_pinv_rejects_nonfinite():
     W[0, 1] = np.nan
     with pytest.raises(ValueError):
         ridge_pinv(W, 1.0)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, -1.0])
+def test_ridge_pinv_rejects_bad_ridge_coefficient(r):
+    # a bad r is a usage error, not a singular system (which reads as divergence)
+    before = factorization_count()
+    with pytest.raises(ValueError, match="ridge coefficient") as info:
+        ridge_pinv(np.eye(3), r)
+    assert not isinstance(info.value, SingularSystem)
+    assert factorization_count() == before
 
 
 def test_factorization_counter_increments_once_per_call():

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from tprop.activations import ACTIVATIONS
-from tprop.linalg import factorization_count, orthogonal_init
+from tprop.linalg import factorization_count
 from tprop.rnn import (
     MSE,
     CacheMismatch,
@@ -18,9 +18,7 @@ from tprop.targetprop import (
     FINITE_DIFFERENCE,
     LINEARIZED,
     TpHyper,
-    backward_targets,
     inverse_apply,
-    inverse_jacobian_T_apply,
     precompute_V,
     tp_direction,
 )
@@ -37,6 +35,15 @@ def hyper(**kw):
 def linear_orthogonal_params(p, d, n_out, seed, output_kind=MSE):
     params = init_params(p, d, n_out, activation="identity", output_kind=output_kind, seed=seed)
     return params
+
+
+def inverse_jacobian_T_apply(params, V, h_t, lam, eps=1e-3):
+    """The linearized inverse step V diag(da^{-1}(proj(h_t))) lam, one step
+    at a time: the operator TP applies in place of backprop's transposed
+    layer Jacobian W_hh^T diag(a'(u_t))."""
+    act = params.activation
+    s = act.inv_deriv(np.clip(h_t, *act.projected_range(eps)), eps)
+    return V @ (s * lam)
 
 
 def test_precompute_v_orthogonal_r0_is_transpose():
@@ -174,7 +181,7 @@ def test_sweep_matches_per_step_reference(rng, rule):
     if rule == "bp":
         got, lam = bptt(params, cache, y), g_tau
     elif rule == "debug":
-        got = backward_targets(params, cache, y, hy, debug_true_jacobian=True)
+        got = tp_direction(params, cache, y, hy, debug_true_jacobian=True)
         lam = -hy.gamma_h * g_tau
     else:
         got, lam = tp_direction(params, cache, y, hy), -hy.gamma_h * g_tau
@@ -196,7 +203,7 @@ def test_backward_targets_equivalence_in_linear_orthogonal_regime(rng):
         y = gen.standard_normal((2, 4))
         cache = forward(params, xs)
         hy = hyper(gamma_h=0.37, r=0.0)
-        d = backward_targets(params, cache, y, hy)
+        d = tp_direction(params, cache, y, hy)
         g = bptt(params, cache, y)
         for name in THETA_H:
             npt.assert_allclose(d[name], -0.37 * g[name], rtol=1e-8, atol=1e-12)
@@ -210,8 +217,8 @@ def test_backward_targets_linear_in_gamma_h(rng):
     y = rng.integers(0, 3, size=4)
     cache = forward(params, xs)
     g = 0.0125
-    d1 = backward_targets(params, cache, y, hyper(gamma_h=g))
-    d2 = backward_targets(params, cache, y, hyper(gamma_h=2 * g))
+    d1 = tp_direction(params, cache, y, hyper(gamma_h=g))
+    d2 = tp_direction(params, cache, y, hyper(gamma_h=2 * g))
     for name in THETA_H:
         npt.assert_allclose(d2[name], 2.0 * d1[name], rtol=1e-12)
     npt.assert_allclose(d2["W_hy"], d1["W_hy"], atol=0)
@@ -223,7 +230,7 @@ def test_backward_targets_finite_at_experiment_scale(rng):
     xs = rng.standard_normal((60, 6, 20))
     y = rng.integers(0, 4, size=20)
     cache = forward(params, xs)
-    d = backward_targets(params, cache, y, hyper(gamma_h=1e-2, gamma_theta=1e-1, r=10.0))
+    d = tp_direction(params, cache, y, hyper(gamma_h=1e-2, gamma_theta=1e-1, r=10.0))
     for name, tensor in d.items():
         assert np.all(np.isfinite(tensor)), name
 
@@ -235,7 +242,7 @@ def test_backward_targets_one_factorization_per_call(rng):
         y = rng.integers(0, 2, size=B)
         cache = forward(params, xs)
         before = factorization_count()
-        backward_targets(params, cache, y, hyper())
+        tp_direction(params, cache, y, hyper())
         assert factorization_count() - before == 1
 
 
@@ -243,8 +250,8 @@ def test_backward_rejects_cache_without_states():
     params = init_params(4, 2, 3, seed=0)
     lean = forward(params, np.zeros((3, 2, 2)), states=False)
     y = np.zeros(2, dtype=np.int64)
-    passes = [lambda: backward_targets(params, lean, y, hyper()),
-              lambda: backward_targets(params, lean, y, hyper(), debug_true_jacobian=True)]
+    passes = [lambda: tp_direction(params, lean, y, hyper()),
+              lambda: tp_direction(params, lean, y, hyper(), debug_true_jacobian=True)]
     passes += [lambda v=v: tp_direction(params, lean, y, hyper(variant=v))
                for v in (LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE)]
     for backward in passes:
@@ -259,7 +266,7 @@ def test_debug_true_jacobian_reproduces_bptt_for_any_activation(rng):
         y = rng.integers(0, 3, size=4)
         cache = forward(params, xs)
         gh = 0.05
-        d = backward_targets(params, cache, y, hyper(gamma_h=gh), debug_true_jacobian=True)
+        d = tp_direction(params, cache, y, hyper(gamma_h=gh), debug_true_jacobian=True)
         g = bptt(params, cache, y)
         for tensor in THETA_H:
             npt.assert_allclose(d[tensor], -gh * g[tensor], rtol=1e-10, atol=1e-14)
@@ -314,7 +321,7 @@ def test_exact_inverse_equals_linearized_for_identity_unit_recurrence(rng):
     xs = rng.standard_normal((5, 2, 3))
     y = rng.standard_normal((2, 3))
     cache = forward(params, xs)
-    d_lin = backward_targets(params, cache, y, hyper(gamma_h=0.05, r=0.0))
+    d_lin = tp_direction(params, cache, y, hyper(gamma_h=0.05, r=0.0))
     d_ex = tp_direction(params, cache, y, hyper(gamma_h=0.05, r=0.0, variant=EXACT_INVERSE))
     for name in THETA_H:
         npt.assert_allclose(d_ex[name], d_lin[name], atol=1e-10)

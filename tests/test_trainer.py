@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from tprop import gru, rnn, targetprop
-from tprop.targetprop import TpHyper, backward_targets
+from tprop.targetprop import TpHyper, tp_direction
 from tprop.tasks import gen_temporal_order
 from tprop.trainer import (
     ConfigError,
@@ -131,7 +131,7 @@ def test_one_tp_iteration_applies_direction_exactly():
         epsilon=cfg.epsilon,
         variant="linearized",
     )
-    d = backward_targets(init, cache, batch.labels, hyper)
+    d = tp_direction(init, cache, batch.labels, hyper)
     res = train(cfg, params=copy.deepcopy(init))
     for name, tensor in res.params.tensors().items():
         want = init.tensors()[name] + cfg.gamma_theta * d[name]
