@@ -235,6 +235,8 @@ def approx_gd_check(
     """
     if noise not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {noise!r}, expected one of {NOISE_MODES}")
+    if steps < 1:
+        raise ValueError(f"need at least one step, got steps={steps}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, dim))
     H = G.T @ G / dim + 0.1 * np.eye(dim)

@@ -15,18 +15,24 @@ corresponding pieces of the true Jacobian, so one backward pass costs exactly
 three matrix factorizations (for W_hm, W_hz, W_hn), independent of sequence
 length. Parameter directions use the true parameter Jacobians, and the output
 head keeps its plain gradient.
+
+A rollout keeps h_t, m_t and z_t, three (tau, p, B) stacks. The backward
+passes recompute a_t and n_t from them a few steps at a time with the
+forward's own expressions, so the directions carry the same bits as if
+both had been stored, and no pass holds a whole-axis stack of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, rnn
 from .activations import ACTIVATIONS, sigmoid
 from .rnn import Direction, SOFTMAX_CE, OUTPUT_KINDS
-from .targetprop import TpHyper
+from .targetprop import LINEARIZED, TpHyper
 
 
 @dataclass
@@ -71,17 +77,24 @@ RECURRENT_TENSORS = (
     "W_im", "W_hm", "b_m", "W_iz", "W_hz", "b_z", "W_in", "b_in", "W_hn", "b_hn",
 )
 
+# Steps whose a_t and n_t the backward passes recompute in one stacked
+# product: fewer numpy calls than one step at a time, while the block stays
+# a small fraction of a (tau, p, B) stack.
+_BLOCK = 4
+
 
 @dataclass
 class GruCache:
-    """One rollout; the per-step stacks are None when it kept no states."""
+    """One rollout: the states and both gates. The candidate recurrence a_t
+    and the candidate n_t are not kept; the backward passes recompute them
+    from h_{t-1}, x_t and m_t with the forward's own expressions
+    (:func:`_candidate`), so they carry the same bits. The per-step stacks
+    are None when the rollout kept no states."""
 
     xs: np.ndarray              # (tau, d, B)
     hs: np.ndarray | None       # (tau + 1, p, B)
     ms: np.ndarray | None       # (tau, p, B) reset gates
     zs: np.ndarray | None       # (tau, p, B) update gates
-    ns: np.ndarray | None       # (tau, p, B) candidates
-    avs: np.ndarray | None      # (tau, p, B) candidate recurrences a_t
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B)
     output_kind: str
@@ -115,6 +128,13 @@ def init_gru_params(
     )
 
 
+def _candidate(params: GruParams, x, h, m):
+    """a_t = W_hn h_{t-1} + b_hn and n_t = tanh(W_in x_t + b_in + m_t * a_t);
+    x, h and m are one step's (., B) matrices or stacks of consecutive steps."""
+    av = params.W_hn @ h + params.b_hn[:, None]
+    return av, np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+
+
 def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) -> GruCache:
     """Roll the cell over x_seq (tau, d, B) from h_0 = 0; ``states`` as in
     :func:`tprop.rnn.forward`."""
@@ -122,22 +142,19 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) ->
     tau, _, B = x_seq.shape
     p = params.p
     hs = np.zeros((tau + 1, p, B)) if states else None
-    ms, zs, ns, avs = (
-        [np.empty((tau, p, B)) for _ in range(4)] if states else [None] * 4
-    )
+    ms, zs = (np.empty((tau, p, B)), np.empty((tau, p, B))) if states else (None, None)
     h = np.zeros((p, B))
     for t in range(tau):
         x = x_seq[t]
         m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
         z = sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
-        av = params.W_hn @ h + params.b_hn[:, None]
-        n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+        _, n = _candidate(params, x, h, m)
         h = (1.0 - z) * h + z * n
         if states:
-            ms[t], zs[t], ns[t], avs[t], hs[t + 1] = m, z, n, av, h
+            ms[t], zs[t], hs[t + 1] = m, z, h
     logits, y_hat = rnn._head(params, h)
     return GruCache(
-        xs=x_seq, hs=hs, ms=ms, zs=zs, ns=ns, avs=avs,
+        xs=x_seq, hs=hs, ms=ms, zs=zs,
         logits=logits, y_hat=y_hat, output_kind=params.output_kind,
     )
 
@@ -146,17 +163,27 @@ def _zero_direction(params: GruParams) -> Direction:
     return {k: np.zeros_like(v) for k, v in params.tensors().items()}
 
 
-def _accumulate_step(d: Direction, cache, t, dh):
+class _Step(NamedTuple):
+    """Step t's inputs and pointwise factors, as the backward passes read them."""
+
+    x: np.ndarray      # x_t
+    h: np.ndarray      # h_{t-1}
+    m: np.ndarray
+    z: np.ndarray
+    av: np.ndarray     # a_t, recomputed
+    n: np.ndarray      # n_t, recomputed
+    tanhp: np.ndarray  # 1 - n_t^2
+
+
+def _accumulate_step(d: Direction, s: _Step, dh):
     """Chain dh (a sensitivity or displacement at h_t) into the step-t
     parameter accumulators via the true parameter Jacobians. Returns the
     per-piece preactivation deltas for reuse by the state recursions."""
-    z, m, n, av = cache.zs[t], cache.ms[t], cache.ns[t], cache.avs[t]
-    hprev, x = cache.hs[t], cache.xs[t]
-    tanhp = 1.0 - n * n
-    dzeta = dh * (n - hprev) * z * (1.0 - z)
-    dnu = dh * z * tanhp
+    z, m, hprev, x = s.z, s.m, s.h, s.x
+    dzeta = dh * (s.n - hprev) * z * (1.0 - z)
+    dnu = dh * z * s.tanhp
     da = dnu * m
-    dmu = dnu * av * m * (1.0 - m)
+    dmu = dnu * s.av * m * (1.0 - m)
     d["W_iz"] += dzeta @ x.T
     d["W_hz"] += dzeta @ hprev.T
     d["b_z"] += dzeta.sum(axis=1)
@@ -174,23 +201,30 @@ def _sweep(params: GruParams, cache: GruCache, signal: np.ndarray, propagate) ->
     """One backward pass over the time axis, for BPTT and the TP rule.
 
     ``signal`` is the (p, B) sensitivity (or displacement) at h_tau;
-    ``propagate(t, dh, dzeta, dmu, da)`` maps the one at h_{t+1} to the one
-    at h_t, given the step's preactivation deltas. The output head is left
-    at zero for the caller.
+    ``propagate(s, dh, dzeta, dmu, da)`` maps the one at h_{t+1} to the one
+    at h_t, given the step's :class:`_Step` and preactivation deltas. a_t and
+    n_t are recomputed for _BLOCK steps at a time, so no whole-axis stack is
+    held beyond the rollout. The output head is left at zero for the caller.
     """
     d = _zero_direction(params)
     dh = signal
-    for t in range(cache.tau - 1, -1, -1):
-        dzeta, dmu, da = _accumulate_step(d, cache, t, dh)
-        if t > 0:
-            dh = propagate(t, dh, dzeta, dmu, da)
+    xs, hs, ms, zs = cache.xs, cache.hs, cache.ms, cache.zs
+    for hi in range(cache.tau, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        avs, ns = _candidate(params, xs[lo:hi], hs[lo:hi], ms[lo:hi])
+        tanhps = 1.0 - ns * ns
+        for t in range(hi - 1, lo - 1, -1):
+            s = _Step(xs[t], hs[t], ms[t], zs[t], avs[t - lo], ns[t - lo], tanhps[t - lo])
+            dzeta, dmu, da = _accumulate_step(d, s, dh)
+            if t > 0:
+                dh = propagate(s, dh, dzeta, dmu, da)
     return d
 
 
-def _transposed_jacobian(params: GruParams, cache: GruCache):
+def _transposed_jacobian(params: GruParams):
     """BPTT's propagator: the true transposed Jacobian of h_t in h_{t-1}."""
-    return lambda t, g, dzeta, dmu, da: (
-        (1.0 - cache.zs[t]) * g
+    return lambda s, g, dzeta, dmu, da: (
+        (1.0 - s.z) * g
         + params.W_hz.T @ dzeta
         + params.W_hm.T @ dmu
         + params.W_hn.T @ da
@@ -200,23 +234,22 @@ def _transposed_jacobian(params: GruParams, cache: GruCache):
 def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
     rnn._check_cache(params, cache)
-    return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params, cache))
+    return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params))
 
 
-def _linearized_inverse(cache: GruCache, Vs, eps: float):
+def _linearized_inverse(Vs, eps: float):
     """TP's propagator: each transposed-Jacobian piece replaced by the
     linearized regularized inverse of its gate map. The logit derivative of
     each gate is evaluated at the gate value projected into [eps, 1-eps]."""
     V_m, V_z, V_n = Vs
     logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
 
-    def propagate(t, dh, dzeta, dmu, da):
-        z, m, n, av = cache.zs[t], cache.ms[t], cache.ns[t], cache.avs[t]
-        tanhp = 1.0 - n * n
+    def propagate(s, dh, dzeta, dmu, da):
+        z, m, tanhp = s.z, s.m, s.tanhp
         return (
             (1.0 - z) * dh
-            + V_z @ (logit_deriv(z, eps) * (n - cache.hs[t]) * dh)
-            + V_m @ (logit_deriv(m, eps) * av * tanhp * z * dh)
+            + V_z @ (logit_deriv(z, eps) * (s.n - s.h) * dh)
+            + V_m @ (logit_deriv(m, eps) * s.av * tanhp * z * dh)
             + V_n @ (m * tanhp * z * dh)
         )
 
@@ -232,7 +265,8 @@ def gru_tp_backward(
 ) -> Direction:
     """Displacement backward pass through the three gate inverses.
 
-    The state recursion uses the linearized inverses of the gate maps.
+    The state recursion uses the linearized inverses of the gate maps, the
+    only rule the GRU has: any other ``hyper.variant`` raises ValueError.
     Parameter directions chain the displacement through the true parameter
     Jacobians, and the output head gets its negated plain gradient. Exactly
     three factorizations per call.
@@ -241,10 +275,12 @@ def gru_tp_backward(
     pieces instead, which makes the recurrent-tensor result equal
     -gamma_h times :func:`gru_bptt`.
     """
+    if hyper.variant != LINEARIZED:
+        raise ValueError(f"the GRU has only the {LINEARIZED!r} TP rule, not {hyper.variant!r}")
     rnn._check_cache(params, cache)
     Vs = [linalg.ridge_pinv(W, hyper.r) for W in (params.W_hm, params.W_hz, params.W_hn)]
     if debug_true_jacobian:
-        propagate = _transposed_jacobian(params, cache)
+        propagate = _transposed_jacobian(params)
     else:
-        propagate = _linearized_inverse(cache, Vs, hyper.epsilon)
+        propagate = _linearized_inverse(Vs, hyper.epsilon)
     return rnn._backward(params, cache, y, _sweep, propagate, hyper.gamma_h)

@@ -236,8 +236,9 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
     ``propagate(t, lam, e)`` maps the one at h_{t+1} to the one at h_t, given
     e_t = a'(u_t) * lam; it is called for t = tau-1 .. 1. The per-step
     errors e_t are stacked and contracted with the inputs and states in one
-    product per tensor once the loop is done. Returns the directions of
-    W_xh, W_hh and b_h.
+    product per tensor once the loop is done; the error stack is released
+    once flattened, so at most three (tau, p, B) stacks are live, the
+    rollout's states included. Returns the directions of W_xh, W_hh and b_h.
     """
     es = params.activation.deriv(cache.hs[1:])  # a'(u_t), overwritten by e_t below
     lam = signal
@@ -246,6 +247,7 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
         if t > 0:
             lam = propagate(t, lam, e)
     E = _flat(es)
+    es = e = None  # E holds the errors now; free the stack before the states are flattened
     return {
         "W_xh": E @ _flat(cache.xs).T,
         "W_hh": E @ _flat(cache.hs[:-1]).T,

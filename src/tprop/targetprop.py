@@ -76,24 +76,26 @@ def inverse_apply(
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
     """The displacement step lam_{t+1} -> lam_t of one variant, as
-    ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Pointwise factors that
-    do not depend on lam are computed for all steps up front."""
+    ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Its pointwise factors
+    are computed at each step, so no whole-axis stack is held besides the
+    sweep's own."""
     if variant == LINEARIZED:
         # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
         # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop
-        S = params.activation.inv_deriv(cache.hs[1:], eps)
-        return lambda t, lam, e: V @ (S[t] * lam)
+        inv_deriv = params.activation.inv_deriv
+        return lambda t, lam, e: V @ (inv_deriv(cache.hs[t + 1], eps) * lam)
+
+    def inverse_at(t, v):
+        return inverse_apply(params, V, cache.xs[t], v, eps)
+
     if variant == FINITE_DIFFERENCE:
         # v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), so the displacement is
         # the difference of the two inverse applications.
-        base = inverse_apply(params, V, cache.xs, cache.hs[1:], eps)
         return lambda t, lam, e: (
-            inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, eps) - base[t]
+            inverse_at(t, cache.hs[t + 1] + lam) - inverse_at(t, cache.hs[t + 1])
         )
     # EXACT_INVERSE: v_{t-1} = f^{-1}(v_t) without the correction term.
-    return lambda t, lam, e: (
-        inverse_apply(params, V, cache.xs[t], cache.hs[t + 1] + lam, eps) - cache.hs[t]
-    )
+    return lambda t, lam, e: inverse_at(t, cache.hs[t + 1] + lam) - cache.hs[t]
 
 
 def tp_direction(

@@ -273,6 +273,13 @@ def test_approx_gd_rejects_unknown_noise_at_zero_eps():
         approx_gd_check(noise="bogus", eps=0.0)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_approx_gd_rejects_nonpositive_steps(steps):
+    # the bound divides by the step count
+    with pytest.raises(ValueError, match="at least one step"):
+        approx_gd_check(steps=steps)
+
+
 def test_gap_report_violation_uses_slack():
     assert GapReport(measured=1.0, bound=0.5).violation
     assert not GapReport(measured=1.0, bound=1.0).violation

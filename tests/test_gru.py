@@ -28,13 +28,22 @@ def zeroed(params):
     return params
 
 
+def candidates(params, cache):
+    """n_t for every step, rebuilt from the params and the cache's x_t,
+    h_{t-1} and m_t in the forward's order of operations."""
+    return [np.tanh(params.W_in @ cache.xs[t] + params.b_in[:, None]
+                    + cache.ms[t] * (params.W_hn @ cache.hs[t] + params.b_hn[:, None]))
+            for t in range(cache.tau)]
+
+
 def test_forward_all_zero_params(rng):
     params = zeroed(init_gru_params(4, 2, 3, seed=0))
     cache = gru_forward(params, rng.standard_normal((5, 2, 2)))
+    ns = candidates(params, cache)
     for t in range(5):
         npt.assert_allclose(cache.ms[t], 0.5, atol=0)
         npt.assert_allclose(cache.zs[t], 0.5, atol=0)
-        npt.assert_allclose(cache.ns[t], 0.0, atol=0)
+        npt.assert_allclose(ns[t], 0.0, atol=0)
         npt.assert_allclose(cache.hs[t + 1], 0.0, atol=0)
 
 
@@ -52,12 +61,13 @@ def test_forward_closed_update_gate_freezes_state(rng):
 def test_forward_state_recurrence_invariant(rng):
     params = init_gru_params(5, 3, 2, seed=2)
     cache = gru_forward(params, rng.standard_normal((4, 3, 3)))
+    ns = candidates(params, cache)
     for t in range(4):
-        want = (1 - cache.zs[t]) * cache.hs[t] + cache.zs[t] * cache.ns[t]
+        want = (1 - cache.zs[t]) * cache.hs[t] + cache.zs[t] * ns[t]
         npt.assert_allclose(cache.hs[t + 1], want, atol=0)
         assert np.all((cache.ms[t] > 0) & (cache.ms[t] < 1))
         assert np.all((cache.zs[t] > 0) & (cache.zs[t] < 1))
-        assert np.all((cache.ns[t] > -1) & (cache.ns[t] < 1))
+        assert np.all((ns[t] > -1) & (ns[t] < 1))
 
 
 def test_forward_at_pixel_scale(rng):
@@ -75,7 +85,7 @@ def test_forward_without_states_gives_the_same_prediction(output_kind, seed):
     xs = rng.standard_normal((40, 3, 5))
     full = gru_forward(params, xs)
     lean = gru_forward(params, xs, states=False)
-    assert all(getattr(lean, k) is None for k in ("hs", "ms", "zs", "ns", "avs"))
+    assert all(getattr(lean, k) is None for k in ("hs", "ms", "zs"))
     assert lean.logits.tobytes() == full.logits.tobytes()
     assert lean.y_hat.tobytes() == full.y_hat.tobytes()
 
@@ -135,6 +145,20 @@ def test_bptt_cache_mismatch():
     before = factorization_count()
     with pytest.raises(CacheMismatch, match="states=False"):
         gru_tp_backward(params, lean, y, hyper())
+    assert factorization_count() == before
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("variant", ["finite_difference", "exact_inverse"])
+def test_tp_backward_rejects_rnn_only_variants(variant, debug):
+    # the GRU has only the linearized rule; another variant must not quietly
+    # return the linearized direction
+    params = init_gru_params(4, 2, 3, seed=0)
+    cache = gru_forward(params, np.zeros((5, 2, 3)))
+    y = np.zeros(3, dtype=np.int64)
+    before = factorization_count()
+    with pytest.raises(ValueError, match=variant):
+        gru_tp_backward(params, cache, y, hyper(variant=variant), debug_true_jacobian=debug)
     assert factorization_count() == before
 
 

@@ -342,7 +342,10 @@ def test_train_reaches_forward_and_backward_through_their_modules(monkeypatch):
 
 
 def _traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc while fn runs."""
+    """Peak bytes traced by tracemalloc while fn runs a second time; the
+    first, untraced run loads what is imported lazily (numpy.random), so
+    one-time import allocations are not counted."""
+    fn()
     tracemalloc.start()
     try:
         fn()
@@ -354,7 +357,8 @@ def _traced_peak(fn) -> int:
 @pytest.mark.parametrize("model", ["rnn", "gru"])
 def test_evaluate_memory_does_not_grow_with_sequence_length(model):
     # A training rollout stores (tau, p, B) stacks: 1 for the RNN (its
-    # states), 5 for the GRU. Prediction needs only the running state.
+    # states), 3 for the GRU (states and both gates). Prediction needs only
+    # the running state.
     cfg = small_config(model=model, T=400, hidden=128, batch=32)
     task = build_task(cfg)
     params = init_model(cfg, task, seed=0)
@@ -364,19 +368,22 @@ def test_evaluate_memory_does_not_grow_with_sequence_length(model):
 
 
 def test_train_keeps_one_gru_rollout_live():
-    # One GRU rollout is 5 stacks; the previous iteration's cache must be
+    # One GRU rollout is 3 stacks (h, m, z); the backward recomputes a_t and
+    # n_t a few steps at a time, and the previous iteration's cache must be
     # released before the next forward allocates its own.
-    cfg = small_config(model="gru", method="tp", T=200, hidden=64, batch=32, iters=2)
-    stack = cfg.T * cfg.hidden * cfg.batch * 8
-    peak = _traced_peak(lambda: train(cfg))
-    assert peak < 7 * stack, peak / stack
+    for method in ("bp", "tp"):
+        cfg = small_config(model="gru", method=method, T=200, hidden=64, batch=32, iters=2)
+        stack = cfg.T * cfg.hidden * cfg.batch * 8
+        peak = _traced_peak(lambda: train(cfg))
+        assert peak < 3.5 * stack, (method, peak / stack)
 
 
-@pytest.mark.parametrize(("method", "bound"), [("bp", 5.0), ("tp", 5.7)])
-def test_train_rnn_peak_below_bound(method, bound):
-    # The RNN rollout keeps only its states, and a'(u_t) is read from them;
-    # a pre-activation stack would add one more (tau, p, B) stack.
+@pytest.mark.parametrize("method", ["bp", "tp", "tp-dtp", "tp-exact"])
+def test_train_rnn_peak_below_bound(method):
+    # The RNN rollout keeps only its states, and a'(u_t) is read from them.
+    # The sweep adds the error stack, frees it once flattened, then flattens
+    # the states; no rule stacks a factor over the time axis.
     cfg = small_config(method=method, T=200, hidden=64, batch=32, iters=2)
     stack = cfg.T * cfg.hidden * cfg.batch * 8
     peak = _traced_peak(lambda: train(cfg))
-    assert peak < bound * stack, peak / stack
+    assert peak < 3.5 * stack, peak / stack
