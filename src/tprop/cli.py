@@ -60,8 +60,10 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
     """Overlaid polylines with axes, ticks and a legend.
 
     ``series`` is a list of (label, xs, ys). Axis ranges are the exact data
-    extrema; with no data at all the axes span [0, 1].
+    extrema; with no data at all the axes span [0, 1]. Text is XML-escaped.
     """
+    from xml.sax.saxutils import escape  # loads urllib.request (~40 ms); only plots need it
+
     W, H = 640, 420
     ml, mr, mt, mb = 64, 20, 28, 44
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -83,7 +85,7 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2:.1f}" y="16" text-anchor="middle" font-size="13">{title}</text>',
+        f'<text x="{W / 2:.1f}" y="16" text-anchor="middle" font-size="13">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" stroke="black"/>',
     ]
@@ -98,9 +100,9 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         out.append(f'<text x="{ml - 6}" y="{py(t) + 3:.1f}" '
                    f'text-anchor="end">{t:.4g}</text>')
     out.append(f'<text x="{(ml + W - mr) / 2:.1f}" y="{H - 8}" '
-               f'text-anchor="middle">{xlabel}</text>')
+               f'text-anchor="middle">{escape(xlabel)}</text>')
     out.append(f'<text x="14" y="{(mt + H - mb) / 2:.1f}" text-anchor="middle" '
-               f'transform="rotate(-90 14 {(mt + H - mb) / 2:.1f})">{ylabel}</text>')
+               f'transform="rotate(-90 14 {(mt + H - mb) / 2:.1f})">{escape(ylabel)}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
@@ -112,7 +114,7 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         ly = mt + 14 + 16 * i
         out.append(f'<line x1="{W - mr - 150}" y1="{ly}" x2="{W - mr - 126}" '
                    f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{W - mr - 120}" y="{ly + 4}">{label}</text>')
+        out.append(f'<text x="{W - mr - 120}" y="{ly + 4}">{escape(label)}</text>')
     out.append("</svg>")
     _atomic_write(path, "\n".join(out) + "\n")
 
@@ -126,7 +128,10 @@ def _heat_color(t: float) -> str:
 
 def write_heatmap_svg(path, cells, title=""):
     """Grid of (gamma_theta, r) cells shaded by area under the training-loss
-    curve: smaller area is brighter, diverged cells stay blank."""
+    curve: smaller area is brighter, diverged cells stay blank. The title
+    is XML-escaped."""
+    from xml.sax.saxutils import escape  # as in write_line_svg
+
     gts = sorted({c.gamma_theta for c in cells}, reverse=True)
     rs = sorted({c.r for c in cells})
     cw, ch = 84, 46
@@ -141,7 +146,7 @@ def write_heatmap_svg(path, cells, title=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2:.1f}" y="20" text-anchor="middle" font-size="13">{title}</text>',
+        f'<text x="{W / 2:.1f}" y="20" text-anchor="middle" font-size="13">{escape(title)}</text>',
     ]
     for i, gt in enumerate(gts):
         for j, r in enumerate(rs):

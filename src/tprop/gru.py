@@ -16,10 +16,10 @@ three matrix factorizations (for W_hm, W_hz, W_hn), independent of sequence
 length. Parameter directions use the true parameter Jacobians, and the output
 head keeps its plain gradient.
 
-A rollout keeps h_t, m_t and z_t, three (tau, p, B) stacks. The backward
-passes recompute a_t and n_t from them a few steps at a time with the
-forward's own expressions, so the directions carry the same bits as if
-both had been stored, and no pass holds a whole-axis stack of its own.
+A rollout keeps only the states h_t, one (tau, p, B) stack. The backward
+passes recompute m_t, z_t, a_t and n_t from them a block of steps at a time
+with the forward's own expressions, so the directions carry the same bits as
+if all had been stored, and no pass holds a whole-axis stack of its own.
 """
 
 from __future__ import annotations
@@ -77,24 +77,15 @@ RECURRENT_TENSORS = (
     "W_im", "W_hm", "b_m", "W_iz", "W_hz", "b_z", "W_in", "b_in", "W_hn", "b_hn",
 )
 
-# Steps whose a_t and n_t the backward passes recompute in one stacked
-# product: fewer numpy calls than one step at a time, while the block stays
-# a small fraction of a (tau, p, B) stack.
-_BLOCK = 4
-
 
 @dataclass
 class GruCache:
-    """One rollout: the states and both gates. The candidate recurrence a_t
-    and the candidate n_t are not kept; the backward passes recompute them
-    from h_{t-1}, x_t and m_t with the forward's own expressions
-    (:func:`_candidate`), so they carry the same bits. The per-step stacks
-    are None when the rollout kept no states."""
+    """One rollout: the states, from which the backward passes recompute
+    m_t, z_t, a_t and n_t (:func:`_gates`, :func:`_candidate`). hs is None
+    when the rollout kept no states."""
 
     xs: np.ndarray              # (tau, d, B)
     hs: np.ndarray | None       # (tau + 1, p, B)
-    ms: np.ndarray | None       # (tau, p, B) reset gates
-    zs: np.ndarray | None       # (tau, p, B) update gates
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B)
     output_kind: str
@@ -128,6 +119,14 @@ def init_gru_params(
     )
 
 
+def _gates(params: GruParams, x, h):
+    """The reset and update gates m_t, z_t; x and h are one step's (., B)
+    matrices or stacks of consecutive steps."""
+    m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
+    z = sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
+    return m, z
+
+
 def _candidate(params: GruParams, x, h, m):
     """a_t = W_hn h_{t-1} + b_hn and n_t = tanh(W_in x_t + b_in + m_t * a_t);
     x, h and m are one step's (., B) matrices or stacks of consecutive steps."""
@@ -142,25 +141,19 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) ->
     tau, _, B = x_seq.shape
     p = params.p
     hs = np.zeros((tau + 1, p, B)) if states else None
-    ms, zs = (np.empty((tau, p, B)), np.empty((tau, p, B))) if states else (None, None)
     h = np.zeros((p, B))
     for t in range(tau):
         x = x_seq[t]
-        m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
-        z = sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
+        m, z = _gates(params, x, h)
         _, n = _candidate(params, x, h, m)
         h = (1.0 - z) * h + z * n
         if states:
-            ms[t], zs[t], hs[t + 1] = m, z, h
+            hs[t + 1] = h
     logits, y_hat = rnn._head(params, h)
     return GruCache(
-        xs=x_seq, hs=hs, ms=ms, zs=zs,
+        xs=x_seq, hs=hs,
         logits=logits, y_hat=y_hat, output_kind=params.output_kind,
     )
-
-
-def _zero_direction(params: GruParams) -> Direction:
-    return {k: np.zeros_like(v) for k, v in params.tensors().items()}
 
 
 class _Step(NamedTuple):
@@ -202,19 +195,22 @@ def _sweep(params: GruParams, cache: GruCache, signal: np.ndarray, propagate) ->
 
     ``signal`` is the (p, B) sensitivity (or displacement) at h_tau;
     ``propagate(s, dh, dzeta, dmu, da)`` maps the one at h_{t+1} to the one
-    at h_t, given the step's :class:`_Step` and preactivation deltas. a_t and
-    n_t are recomputed for _BLOCK steps at a time, so no whole-axis stack is
-    held beyond the rollout. The output head is left at zero for the caller.
+    at h_t, given the step's :class:`_Step` and preactivation deltas. m_t,
+    z_t, a_t and n_t are recomputed ``rnn._BLOCK`` steps at a time, so the
+    rollout's states are the one (tau, p, B) stack held. The output head is
+    left at zero for the caller.
     """
-    d = _zero_direction(params)
+    d = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     dh = signal
-    xs, hs, ms, zs = cache.xs, cache.hs, cache.ms, cache.zs
-    for hi in range(cache.tau, 0, -_BLOCK):
-        lo = max(hi - _BLOCK, 0)
-        avs, ns = _candidate(params, xs[lo:hi], hs[lo:hi], ms[lo:hi])
+    for hi in range(cache.tau, 0, -rnn._BLOCK):
+        lo = max(hi - rnn._BLOCK, 0)
+        x, h = cache.xs[lo:hi], cache.hs[lo:hi]
+        ms, zs = _gates(params, x, h)
+        avs, ns = _candidate(params, x, h, ms)
         tanhps = 1.0 - ns * ns
         for t in range(hi - 1, lo - 1, -1):
-            s = _Step(xs[t], hs[t], ms[t], zs[t], avs[t - lo], ns[t - lo], tanhps[t - lo])
+            i = t - lo
+            s = _Step(x[i], h[i], ms[i], zs[i], avs[i], ns[i], tanhps[i])
             dzeta, dmu, da = _accumulate_step(d, s, dh)
             if t > 0:
                 dh = propagate(s, dh, dzeta, dmu, da)

@@ -223,8 +223,13 @@ def _check_cache(params, cache):
         raise CacheMismatch("output kind changed since the forward pass")
 
 
+# Time steps per block of both cells' backward sweeps: their own buffers stay
+# block-sized, and each contraction is still one GEMM over _BLOCK * B columns.
+_BLOCK = 8
+
+
 def _flat(a: np.ndarray) -> np.ndarray:
-    """(tau, n, B) stack -> (n, tau * B) matrix, one column per (step, sample)."""
+    """(C, n, B) stack -> (n, C * B) matrix, one column per (step, sample)."""
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
@@ -234,25 +239,26 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
 
     ``signal`` is the (p, B) sensitivity (or displacement) at h_tau.
     ``propagate(t, lam, e)`` maps the one at h_{t+1} to the one at h_t, given
-    e_t = a'(u_t) * lam; it is called for t = tau-1 .. 1. The per-step
-    errors e_t are stacked and contracted with the inputs and states in one
-    product per tensor once the loop is done; the error stack is released
-    once flattened, so at most three (tau, p, B) stacks are live, the
-    rollout's states included. Returns the directions of W_xh, W_hh and b_h.
+    e_t = a'(u_t) * lam; it is called for t = tau-1 .. 1. A block of _BLOCK
+    steps' errors is contracted with its inputs and states, one product per
+    tensor, once the recursion has left it, so the rollout's states are the
+    one (tau, p, B) stack held. Returns the directions of W_xh, W_hh and b_h.
     """
-    es = params.activation.deriv(cache.hs[1:])  # a'(u_t), overwritten by e_t below
+    d = {k: np.zeros_like(getattr(params, k)) for k in ("W_xh", "W_hh", "b_h")}
     lam = signal
-    for t in range(cache.tau - 1, -1, -1):
-        e = np.multiply(es[t], lam, out=es[t])
-        if t > 0:
-            lam = propagate(t, lam, e)
-    E = _flat(es)
-    es = e = None  # E holds the errors now; free the stack before the states are flattened
-    return {
-        "W_xh": E @ _flat(cache.xs).T,
-        "W_hh": E @ _flat(cache.hs[:-1]).T,
-        "b_h": E.sum(axis=1),
-    }
+    for hi in range(cache.tau, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        es = params.activation.deriv(cache.hs[lo + 1:hi + 1])  # a'(u_t), overwritten by e_t below
+        for t in range(hi - 1, lo - 1, -1):
+            e = np.multiply(es[t - lo], lam, out=es[t - lo])
+            if t > 0:
+                lam = propagate(t, lam, e)
+        E = _flat(es)
+        es = e = None  # E holds the errors now; free the block before the states are flattened
+        d["W_xh"] += E @ _flat(cache.xs[lo:hi]).T
+        d["W_hh"] += E @ _flat(cache.hs[lo:hi]).T
+        d["b_h"] += E.sum(axis=1)
+    return d
 
 
 def _transposed_jacobian(params: RnnParams):

@@ -77,8 +77,7 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
     """The displacement step lam_{t+1} -> lam_t of one variant, as
     ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Its pointwise factors
-    are computed at each step, so no whole-axis stack is held besides the
-    sweep's own."""
+    are computed at each step, so it holds no whole-axis stack."""
     if variant == LINEARIZED:
         # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
         # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tprop import tasks, trainer
-from tprop.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from tprop.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main, write_heatmap_svg
 
 
 def write_tiny_idx(root, n=8, h=4, w=4, n_classes=4, seed=0):
@@ -157,6 +157,25 @@ def test_plot_two_logs(tmp_path):
     # axes span the exact data extrema: x in [0, 9], loss in [1, 11]
     assert ">0<" in svg and ">9<" in svg
     assert ">1<" in svg and ">11<" in svg
+
+
+def test_svg_writers_escape_text(tmp_path):
+    # a series label (the file's base name) and titles with XML specials
+    title = "T<60 & r=1"
+    log = trainer.MetricsLog()
+    log.iters += [0, 1]
+    log.losses += [1.0, 2.0]
+    log.accs += [0.0, 0.0]
+    log.wall_ms += [0.1, 0.1]
+    csv_path = tmp_path / "a&b<1>.csv"
+    log.to_csv(str(csv_path))
+    line_path, heat_path = tmp_path / "line.svg", tmp_path / "heat.svg"
+    argv = ["plot", "--in", str(csv_path), "--title", title, "--out", str(line_path)]
+    assert main(argv) == EXIT_OK
+    write_heatmap_svg(str(heat_path), [trainer.GridCell(0.1, 1.0, 2.0, False)], title=title)
+    for path, want in ((line_path, {title, "a&b<1>", "loss"}), (heat_path, {title})):
+        texts = {el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")}
+        assert want <= texts, (path.name, texts)
 
 
 def test_plot_header_only_csv(tmp_path):

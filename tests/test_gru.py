@@ -5,6 +5,7 @@ import pytest
 from tprop.gru import (
     RECURRENT_TENSORS,
     GruParams,
+    _gates,
     gru_bptt,
     gru_forward,
     gru_tp_backward,
@@ -12,7 +13,7 @@ from tprop.gru import (
 )
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count
-from tprop.rnn import MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
+from tprop.rnn import _BLOCK, MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
 from tprop.targetprop import TpHyper
 
 
@@ -28,22 +29,26 @@ def zeroed(params):
     return params
 
 
-def candidates(params, cache):
-    """n_t for every step, rebuilt from the params and the cache's x_t,
-    h_{t-1} and m_t in the forward's order of operations."""
-    return [np.tanh(params.W_in @ cache.xs[t] + params.b_in[:, None]
-                    + cache.ms[t] * (params.W_hn @ cache.hs[t] + params.b_hn[:, None]))
-            for t in range(cache.tau)]
+def gates_and_candidates(params, cache):
+    """(m_t, z_t, n_t) for every step, rebuilt from the params and the
+    cache's x_t and h_{t-1}: the gates through the forward's own _gates,
+    n_t in the forward's order of operations."""
+    out = []
+    for t in range(cache.tau):
+        m, z = _gates(params, cache.xs[t], cache.hs[t])
+        n = np.tanh(params.W_in @ cache.xs[t] + params.b_in[:, None]
+                    + m * (params.W_hn @ cache.hs[t] + params.b_hn[:, None]))
+        out.append((m, z, n))
+    return out
 
 
 def test_forward_all_zero_params(rng):
     params = zeroed(init_gru_params(4, 2, 3, seed=0))
     cache = gru_forward(params, rng.standard_normal((5, 2, 2)))
-    ns = candidates(params, cache)
-    for t in range(5):
-        npt.assert_allclose(cache.ms[t], 0.5, atol=0)
-        npt.assert_allclose(cache.zs[t], 0.5, atol=0)
-        npt.assert_allclose(ns[t], 0.0, atol=0)
+    for t, (m, z, n) in enumerate(gates_and_candidates(params, cache)):
+        npt.assert_allclose(m, 0.5, atol=0)
+        npt.assert_allclose(z, 0.5, atol=0)
+        npt.assert_allclose(n, 0.0, atol=0)
         npt.assert_allclose(cache.hs[t + 1], 0.0, atol=0)
 
 
@@ -61,13 +66,12 @@ def test_forward_closed_update_gate_freezes_state(rng):
 def test_forward_state_recurrence_invariant(rng):
     params = init_gru_params(5, 3, 2, seed=2)
     cache = gru_forward(params, rng.standard_normal((4, 3, 3)))
-    ns = candidates(params, cache)
-    for t in range(4):
-        want = (1 - cache.zs[t]) * cache.hs[t] + cache.zs[t] * ns[t]
+    for t, (m, z, n) in enumerate(gates_and_candidates(params, cache)):
+        want = (1 - z) * cache.hs[t] + z * n
         npt.assert_allclose(cache.hs[t + 1], want, atol=0)
-        assert np.all((cache.ms[t] > 0) & (cache.ms[t] < 1))
-        assert np.all((cache.zs[t] > 0) & (cache.zs[t] < 1))
-        assert np.all((ns[t] > -1) & (ns[t] < 1))
+        assert np.all((m > 0) & (m < 1))
+        assert np.all((z > 0) & (z < 1))
+        assert np.all((n > -1) & (n < 1))
 
 
 def test_forward_at_pixel_scale(rng):
@@ -85,7 +89,7 @@ def test_forward_without_states_gives_the_same_prediction(output_kind, seed):
     xs = rng.standard_normal((40, 3, 5))
     full = gru_forward(params, xs)
     lean = gru_forward(params, xs, states=False)
-    assert all(getattr(lean, k) is None for k in ("hs", "ms", "zs"))
+    assert lean.hs is None
     assert lean.logits.tobytes() == full.logits.tobytes()
     assert lean.y_hat.tobytes() == full.y_hat.tobytes()
 
@@ -124,7 +128,8 @@ def test_bptt_saturated_update_gate_drops_carry_term(rng):
     params.b_z[...] = 40.0
     xs = rng.standard_normal((2, 2, 2))
     cache = gru_forward(params, xs)
-    npt.assert_allclose(cache.zs[0], 1.0, atol=1e-15)
+    _, z = _gates(params, cache.xs[0], cache.hs[0])
+    npt.assert_allclose(z, 1.0, atol=1e-15)
     d = gru_bptt(params, cache, rng.integers(0, 2, size=2))
     assert all(np.all(np.isfinite(v)) for v in d.values())
     # the z-gate parameter gradients die with z(1-z)
@@ -205,17 +210,19 @@ def test_tp_backward_matches_per_step_reference(rng, saturation):
     params = init_gru_params(6, 3, 3, seed=13)
     params.b_z[:3] = saturation   # some update gates pinned at 1 ...
     params.b_m[3:] = -saturation  # ... and some reset gates at 0
-    cache = gru_forward(params, rng.standard_normal((12, 3, 4)))
-    y = rng.integers(0, 3, size=4)
     hy = hyper(gamma_h=0.05, r=0.5, epsilon=1e-2)
-    gates = np.concatenate([cache.zs, cache.ms])
-    clipped = np.any((gates < hy.epsilon) | (gates > 1.0 - hy.epsilon))
-    assert clipped == (saturation > 0)
-    got = gru_tp_backward(params, cache, y, hy)
-    want = _tp_per_step_reference(params, cache, y, hy)
-    for name in RECURRENT_TENSORS:
-        npt.assert_allclose(got[name], want[name], rtol=1e-12,
-                            atol=1e-15 * np.abs(want[name]).max(), err_msg=name)
+    C = _BLOCK  # the lengths put the sweep's block edges at every position
+    for tau in (1, C - 1, C, C + 1, 2 * C + 3):
+        cache = gru_forward(params, rng.standard_normal((tau, 3, 4)))
+        y = rng.integers(0, 3, size=4)
+        gates = np.concatenate(_gates(params, cache.xs, cache.hs[:-1]))
+        clipped = np.any((gates < hy.epsilon) | (gates > 1.0 - hy.epsilon))
+        assert clipped == (saturation > 0)
+        got = gru_tp_backward(params, cache, y, hy)
+        want = _tp_per_step_reference(params, cache, y, hy)
+        for name in RECURRENT_TENSORS:
+            npt.assert_allclose(got[name], want[name], rtol=1e-12,
+                                atol=1e-15 * np.abs(want[name]).max(), err_msg=(tau, name))
 
 
 def test_tp_backward_three_factorizations_per_call(rng):
@@ -280,7 +287,8 @@ def test_tp_backward_finite_under_saturated_gates(rng):
     d = gru_tp_backward(params, cache, rng.integers(0, 2, size=2), hyper())
     for name, tensor in d.items():
         assert np.all(np.isfinite(tensor)), name
-    inv_d = ACTIVATIONS["sigmoid"].inv_deriv(cache.zs[0])
+    _, z = _gates(params, cache.xs[0], cache.hs[0])
+    inv_d = ACTIVATIONS["sigmoid"].inv_deriv(z)
     assert np.all(inv_d >= 4.0) and np.all(np.isfinite(inv_d))
 
 

@@ -5,6 +5,7 @@ import pytest
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count
 from tprop.rnn import (
+    _BLOCK,
     MSE,
     CacheMismatch,
     RnnParams,
@@ -153,42 +154,45 @@ def _per_step_reference(params, cache, lam, step):
 
 @pytest.mark.parametrize("rule", ["bp", "debug", LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE])
 def test_sweep_matches_per_step_reference(rng, rule):
-    # the sweep stacks the per-step errors and contracts them after the loop,
-    # so sums run in another order: equal up to float64 rounding
+    # the sweep stacks a block's errors and contracts them once the recursion
+    # has left the block, so sums run in another order: equal up to float64
+    # rounding. The lengths put the block edges at every position.
+    C = _BLOCK
     params = init_params(8, 3, 4, activation="tanh", seed=5)
-    cache = forward(params, 0.5 * rng.standard_normal((30, 3, 5)))
-    y = rng.integers(0, 4, size=5)
-    hy = hyper(variant=LINEARIZED if rule in ("bp", "debug") else rule)
-    V = precompute_V(params, hy.r)
-    eps = hy.epsilon
-    g_tau = params.W_hy.T @ output_delta(y, cache)
+    for tau in (1, C - 1, C, C + 1, 2 * C + 3):
+        cache = forward(params, 0.5 * rng.standard_normal((tau, 3, 5)))
+        y = rng.integers(0, 4, size=5)
+        hy = hyper(variant=LINEARIZED if rule in ("bp", "debug") else rule)
+        V = precompute_V(params, hy.r)
+        eps = hy.epsilon
+        g_tau = params.W_hy.T @ output_delta(y, cache)
 
-    def transposed_jacobian(t, lam, e):
-        return params.W_hh.T @ e
+        def transposed_jacobian(t, lam, e):
+            return params.W_hh.T @ e
 
-    def inv(t, v):
-        return inverse_apply(params, V, cache.xs[t], v, eps)
+        def inv(t, v):
+            return inverse_apply(params, V, cache.xs[t], v, eps)
 
-    steps = {
-        "bp": transposed_jacobian,
-        "debug": transposed_jacobian,
-        LINEARIZED: lambda t, lam, e: inverse_jacobian_T_apply(
-            params, V, cache.hs[t + 1], lam, eps),
-        FINITE_DIFFERENCE: lambda t, lam, e: (
-            inv(t, cache.hs[t + 1] + lam) - inv(t, cache.hs[t + 1])),
-        EXACT_INVERSE: lambda t, lam, e: inv(t, cache.hs[t + 1] + lam) - cache.hs[t],
-    }
-    if rule == "bp":
-        got, lam = bptt(params, cache, y), g_tau
-    elif rule == "debug":
-        got = tp_direction(params, cache, y, hy, debug_true_jacobian=True)
-        lam = -hy.gamma_h * g_tau
-    else:
-        got, lam = tp_direction(params, cache, y, hy), -hy.gamma_h * g_tau
-    want = _per_step_reference(params, cache, lam, steps[rule])
-    for name in THETA_H:
-        npt.assert_allclose(got[name], want[name], rtol=1e-12,
-                            atol=1e-15 * np.abs(want[name]).max())
+        steps = {
+            "bp": transposed_jacobian,
+            "debug": transposed_jacobian,
+            LINEARIZED: lambda t, lam, e: inverse_jacobian_T_apply(
+                params, V, cache.hs[t + 1], lam, eps),
+            FINITE_DIFFERENCE: lambda t, lam, e: (
+                inv(t, cache.hs[t + 1] + lam) - inv(t, cache.hs[t + 1])),
+            EXACT_INVERSE: lambda t, lam, e: inv(t, cache.hs[t + 1] + lam) - cache.hs[t],
+        }
+        if rule == "bp":
+            got, lam = bptt(params, cache, y), g_tau
+        elif rule == "debug":
+            got = tp_direction(params, cache, y, hy, debug_true_jacobian=True)
+            lam = -hy.gamma_h * g_tau
+        else:
+            got, lam = tp_direction(params, cache, y, hy), -hy.gamma_h * g_tau
+        want = _per_step_reference(params, cache, lam, steps[rule])
+        for name in THETA_H:
+            npt.assert_allclose(got[name], want[name], rtol=1e-12,
+                                atol=1e-15 * np.abs(want[name]).max(), err_msg=(tau, name))
 
 
 def test_backward_targets_equivalence_in_linear_orthogonal_regime(rng):
