@@ -4,7 +4,7 @@ Subcommands: gen-data (serialize synthetic batches), train (one run with
 metrics and a reproducible config snapshot), grid (stepsize/regularization
 sweep into a CSV and an SVG heatmap), check (named diagnostic suites as a
 pass/fail CSV table), bench (per-iteration timing of the two backward
-passes), plot (metrics CSVs into a self-contained SVG).
+passes of the RNN or the GRU), plot (metrics CSVs into a self-contained SVG).
 
 Exit codes: 0 success, 1 usage or config error, 2 training diverged.
 Plots are hand-written SVG, so runs have no plotting dependency and the
@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import diagnostics, linalg, rnn, targetprop, tasks, trainer
+from . import diagnostics, gru, linalg, rnn, targetprop, tasks, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -268,23 +268,29 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_USAGE
 
 
-def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0):
-    """Median per-iteration wall time of forward + backward for both
-    methods at one (tau, p), after 3 warmups, plus inversions per call."""
+def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
+    """Median per-iteration wall time of forward + backward for bp and tp
+    of one model at one (tau, p), after 3 warmups, plus inversions per
+    call. The GRU's methods are named gru-bp and gru-tp."""
     rng = np.random.default_rng(seed)
     d, n_out = 4, 4
-    params = rnn.init_params(p, d, n_out, "tanh", rnn.SOFTMAX_CE, seed)
     x = rng.standard_normal((tau, d, batch))
     y = rng.integers(0, n_out, size=batch)
     hyper = targetprop.TpHyper(gamma_h=1e-2, gamma_theta=1e-1, r=1.0)
+    if model == "gru":
+        params = gru.init_gru_params(p, d, n_out, rnn.SOFTMAX_CE, seed)
+        forward = gru.gru_forward
+        backward = {"gru-bp": gru.gru_bptt,
+                    "gru-tp": lambda *a: gru.gru_tp_backward(*a, hyper)}
+    else:
+        params = rnn.init_params(p, d, n_out, "tanh", rnn.SOFTMAX_CE, seed)
+        forward = rnn.forward
+        backward = {trainer.BP: rnn.bptt,
+                    trainer.TP: lambda *a: targetprop.tp_direction(*a, hyper)}
     rows = []
-    for method in (trainer.BP, trainer.TP):
+    for method, back in backward.items():
         def step():
-            cache = rnn.forward(params, x)
-            if method == trainer.BP:
-                rnn.bptt(params, cache, y)
-            else:
-                targetprop.tp_direction(params, cache, y, hyper)
+            back(params, forward(params, x), y)
         for _ in range(3):
             step()
         times = []
@@ -308,7 +314,7 @@ def cmd_bench(args) -> int:
     lines = ["tau,p,method,ms_per_iter,inversions"]
     for p in ps:
         for tau in taus:
-            for row in bench_point(tau, p, args.batch, args.reps, args.seed):
+            for row in bench_point(tau, p, args.batch, args.reps, args.seed, args.model):
                 lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]:.4f},{row[4]}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -409,6 +415,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="per-iteration timing of bp vs tp")
+    p.add_argument("--model", choices=("rnn", "gru"), default="rnn")
     p.add_argument("--tau-grid", dest="tau_grid", default="50,784")
     p.add_argument("--p-grid", dest="p_grid", default="100")
     p.add_argument("--batch", type=int, default=8)

@@ -16,10 +16,12 @@ three matrix factorizations (for W_hm, W_hz, W_hn), independent of sequence
 length. Parameter directions use the true parameter Jacobians, and the output
 head keeps its plain gradient.
 
-A rollout keeps only the states h_t, one (tau, p, B) stack. The backward
-passes recompute m_t, z_t, a_t and n_t from them a block of steps at a time
-with the forward's own expressions, so the directions carry the same bits as
-if all had been stored, and no pass holds a whole-axis stack of its own.
+A rollout keeps h_t only at the edges of the backward sweep's blocks of
+C = ``rnn._BLOCK`` steps: t = 0 and t = tau - kC, ceil(tau / C) + 1 states,
+the last of them h_tau (Gruslys et al. 2016 checkpoint the same way). The
+backward passes re-run each block from its edge state with the forward's
+own block roll, so every recomputed value carries the forward's bits, and
+no pass holds a whole-axis stack.
 """
 
 from __future__ import annotations
@@ -80,12 +82,12 @@ RECURRENT_TENSORS = (
 
 @dataclass
 class GruCache:
-    """One rollout: the states, from which the backward passes recompute
-    m_t, z_t, a_t and n_t (:func:`_gates`, :func:`_candidate`). hs is None
-    when the rollout kept no states."""
+    """One rollout: the states at the sweep's block edges (:func:`_edges`),
+    from which the backward passes re-run each block. hs is None when the
+    rollout kept no states."""
 
     xs: np.ndarray              # (tau, d, B)
-    hs: np.ndarray | None       # (tau + 1, p, B)
+    hs: np.ndarray | None       # (len(_edges(tau)), p, B); hs[-1] is h_tau
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B)
     output_kind: str
@@ -119,36 +121,58 @@ def init_gru_params(
     )
 
 
-def _gates(params: GruParams, x, h):
-    """The reset and update gates m_t, z_t; x and h are one step's (., B)
-    matrices or stacks of consecutive steps."""
-    m = sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
-    z = sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
-    return m, z
+def _edges(tau: int) -> list[int]:
+    """The block edges 0, tau - kC, ..., tau - C, tau (C = ``rnn._BLOCK``,
+    k as large as leaves tau - kC > 0): the backward sweep's blocks, the
+    partial one first in time."""
+    return [0, *range(tau % rnn._BLOCK or rnn._BLOCK, tau + 1, rnn._BLOCK)]
 
 
-def _candidate(params: GruParams, x, h, m):
-    """a_t = W_hn h_{t-1} + b_hn and n_t = tanh(W_in x_t + b_in + m_t * a_t);
-    x, h and m are one step's (., B) matrices or stacks of consecutive steps."""
-    av = params.W_hn @ h + params.b_hn[:, None]
-    return av, np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+class _Block(NamedTuple):
+    """One block of steps t = lo .. hi - 1, as the backward re-runs it;
+    i = t - lo indexes the steps."""
+
+    h: np.ndarray       # (C + 1, p, B): h[i] is h_{t-1} and h[i + 1] is h_t
+    m: np.ndarray       # (C, p, B)
+    z: np.ndarray       # (C, p, B)
+    av: np.ndarray      # (C, p, B): a_t
+    n: np.ndarray       # (C, p, B)
+    deltas: np.ndarray  # (4, p, C, B): preactivation deltas of a_t, z_t, m_t, n_t
+
+
+def _roll(params: GruParams, x, h, block: _Block | None = None):
+    """Run the cell over one block of inputs x (C, d, B) from the state h
+    before it; returns the state after it. The block's input projections
+    are one stacked product each, added in the order of the per-step
+    expressions, so the states do not depend on where blocks start. With
+    ``block``, each step's h_t, m_t, z_t, a_t and n_t are written into it."""
+    xm, xz = params.W_im @ x, params.W_iz @ x
+    xn = params.W_in @ x + params.b_in[:, None]
+    b_m, b_z, b_hn = params.b_m[:, None], params.b_z[:, None], params.b_hn[:, None]
+    for i in range(len(x)):
+        m = sigmoid(xm[i] + params.W_hm @ h + b_m)
+        z = sigmoid(xz[i] + params.W_hz @ h + b_z)
+        av = params.W_hn @ h + b_hn
+        n = np.tanh(xn[i] + m * av)
+        h = (1.0 - z) * h + z * n
+        if block is not None:
+            block.m[i], block.z[i], block.av[i], block.n[i], block.h[i + 1] = m, z, av, n, h
+    return h
 
 
 def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) -> GruCache:
-    """Roll the cell over x_seq (tau, d, B) from h_0 = 0; ``states`` as in
-    :func:`tprop.rnn.forward`."""
+    """Roll the cell over x_seq (tau, d, B) from h_0 = 0, keeping the states
+    at the block edges; ``states`` as in :func:`tprop.rnn.forward`, and
+    without them the blocks are single steps."""
     x_seq = rnn._check_inputs(params, x_seq)
-    tau, _, B = x_seq.shape
-    p = params.p
-    hs = np.zeros((tau + 1, p, B)) if states else None
-    h = np.zeros((p, B))
-    for t in range(tau):
-        x = x_seq[t]
-        m, z = _gates(params, x, h)
-        _, n = _candidate(params, x, h, m)
-        h = (1.0 - z) * h + z * n
+    tau = x_seq.shape[0]
+    edges = _edges(tau) if states else range(tau + 1)
+    h = np.zeros((params.p, x_seq.shape[2]))
+    hs = np.zeros((len(edges),) + h.shape) if states else None
+    for j in range(1, len(edges)):
+        h = _roll(params, x_seq[edges[j - 1]:edges[j]], h)
         if states:
-            hs[t + 1] = h
+            hs[j] = h
     logits, y_hat = rnn._head(params, h)
     return GruCache(
         xs=x_seq, hs=hs,
@@ -156,80 +180,71 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) ->
     )
 
 
-class _Step(NamedTuple):
-    """Step t's inputs and pointwise factors, as the backward passes read them."""
-
-    x: np.ndarray      # x_t
-    h: np.ndarray      # h_{t-1}
-    m: np.ndarray
-    z: np.ndarray
-    av: np.ndarray     # a_t, recomputed
-    n: np.ndarray      # n_t, recomputed
-    tanhp: np.ndarray  # 1 - n_t^2
-
-
-def _accumulate_step(d: Direction, s: _Step, dh):
-    """Chain dh (a sensitivity or displacement at h_t) into the step-t
-    parameter accumulators via the true parameter Jacobians. Returns the
-    per-piece preactivation deltas for reuse by the state recursions."""
-    z, m, hprev, x = s.z, s.m, s.h, s.x
-    dzeta = dh * (s.n - hprev) * z * (1.0 - z)
-    dnu = dh * z * s.tanhp
-    da = dnu * m
-    dmu = dnu * s.av * m * (1.0 - m)
-    d["W_iz"] += dzeta @ x.T
-    d["W_hz"] += dzeta @ hprev.T
-    d["b_z"] += dzeta.sum(axis=1)
-    d["W_im"] += dmu @ x.T
-    d["W_hm"] += dmu @ hprev.T
-    d["b_m"] += dmu.sum(axis=1)
-    d["W_in"] += dnu @ x.T
-    d["b_in"] += dnu.sum(axis=1)
-    d["W_hn"] += da @ hprev.T
-    d["b_hn"] += da.sum(axis=1)
-    return dzeta, dmu, da
-
-
 def _sweep(params: GruParams, cache: GruCache, signal: np.ndarray, propagate) -> Direction:
     """One backward pass over the time axis, for BPTT and the TP rule.
 
-    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau;
-    ``propagate(s, dh, dzeta, dmu, da)`` maps the one at h_{t+1} to the one
-    at h_t, given the step's :class:`_Step` and preactivation deltas. m_t,
-    z_t, a_t and n_t are recomputed ``rnn._BLOCK`` steps at a time, so the
-    rollout's states are the one (tau, p, B) stack held. The output head is
-    left at zero for the caller.
+    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau. Each
+    block is re-run from its edge state by :func:`_roll`, then walked
+    backwards: step t's preactivation deltas go into the block's ``deltas``
+    and ``propagate(block)(i, dh)`` maps the sensitivity at h_t to the one
+    at h_{t-1}, for t = lo + i > 0. Once the block is left, its deltas are
+    contracted with its inputs and states, one product per group of
+    tensors. The pass holds the edge states and block-sized buffers. The
+    output head is left at zero for the caller.
     """
+    p, B = signal.shape
+    C = rnn._BLOCK
+    buf = _Block(np.empty((C + 1, p, B)), *(np.empty((C, p, B)) for _ in range(4)),
+                 np.empty((4, p, C, B)))
     d = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     dh = signal
-    for hi in range(cache.tau, 0, -rnn._BLOCK):
-        lo = max(hi - rnn._BLOCK, 0)
-        x, h = cache.xs[lo:hi], cache.hs[lo:hi]
-        ms, zs = _gates(params, x, h)
-        avs, ns = _candidate(params, x, h, ms)
-        tanhps = 1.0 - ns * ns
-        for t in range(hi - 1, lo - 1, -1):
-            i = t - lo
-            s = _Step(x[i], h[i], ms[i], zs[i], avs[i], ns[i], tanhps[i])
-            dzeta, dmu, da = _accumulate_step(d, s, dh)
-            if t > 0:
-                dh = propagate(s, dh, dzeta, dmu, da)
+    edges = _edges(cache.tau)
+    for j in range(len(edges) - 1, 0, -1):
+        lo, hi = edges[j - 1], edges[j]
+        b = _Block(buf.h[:hi - lo + 1], *(a[:hi - lo] for a in buf[1:-1]),
+                   buf.deltas[:, :, :hi - lo])
+        x = cache.xs[lo:hi]
+        b.h[0] = cache.hs[j - 1]
+        _roll(params, x, b.h[0], b)
+        hprev = b.h[:-1]
+        gz = (b.n - hprev) * b.z * (1.0 - b.z)   # factor from dh_t to zeta_t
+        gn = b.z * (1.0 - b.n * b.n)             # from dh_t to nu_t
+        gm = b.av * (1.0 - b.m)                  # from the a_t delta to mu_t
+        step = propagate(b)
+        for i in range(hi - lo - 1, -1, -1):
+            da, dzeta, dmu, dnu = b.deltas[:, :, i]
+            np.multiply(dh, gn[i], out=dnu)
+            np.multiply(dnu, b.m[i], out=da)
+            np.multiply(dh, gz[i], out=dzeta)
+            np.multiply(da, gm[i], out=dmu)
+            if lo + i > 0:
+                dh = step(i, dh)
+        step = gz = gn = gm = None  # free the block's factors before the next block's
+        D = b.deltas.reshape(4 * p, -1)  # one column per (step, sample), as rnn._flat
+        by_h = (D[:3 * p] @ rnn._flat(hprev).T).reshape(3, p, p)  # deltas of a, z, m
+        by_x = (D[p:] @ rnn._flat(x).T).reshape(3, p, -1)         # deltas of z, m, n
+        for k, g in zip(("W_hn", "W_hz", "W_hm", "W_iz", "W_im", "W_in"), (*by_h, *by_x)):
+            d[k] += g
+        for k, g in zip(("b_hn", "b_z", "b_m", "b_in"), D.sum(axis=1).reshape(4, p)):
+            d[k] += g
     return d
 
 
 def _transposed_jacobian(params: GruParams):
-    """BPTT's propagator: the true transposed Jacobian of h_t in h_{t-1}."""
-    return lambda s, g, dzeta, dmu, da: (
-        (1.0 - s.z) * g
-        + params.W_hz.T @ dzeta
-        + params.W_hm.T @ dmu
-        + params.W_hn.T @ da
-    )
+    """BPTT's propagator: the true transposed Jacobian of h_t in h_{t-1},
+    its three recurrent products as one against the stacked deltas."""
+    W_T = np.concatenate((params.W_hn, params.W_hz, params.W_hm)).T
+
+    def per_block(b: _Block):
+        carry = 1.0 - b.z
+        return lambda i, g: carry[i] * g + W_T @ b.deltas[:3, :, i].reshape(-1, g.shape[1])
+
+    return per_block
 
 
 def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    rnn._check_cache(params, cache)
+    rnn._check_cache(params, cache, len(_edges(cache.tau)))
     return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params))
 
 
@@ -238,18 +253,25 @@ def _linearized_inverse(Vs, eps: float):
     linearized regularized inverse of its gate map. The logit derivative of
     each gate is evaluated at the gate value projected into [eps, 1-eps]."""
     V_m, V_z, V_n = Vs
+    V = np.concatenate((V_n, V_z, V_m), axis=1)
     logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
 
-    def propagate(s, dh, dzeta, dmu, da):
-        z, m, tanhp = s.z, s.m, s.tanhp
-        return (
-            (1.0 - z) * dh
-            + V_z @ (logit_deriv(z, eps) * (s.n - s.h) * dh)
-            + V_m @ (logit_deriv(m, eps) * s.av * tanhp * z * dh)
-            + V_n @ (m * tanhp * z * dh)
-        )
+    def per_block(b: _Block):
+        carry = 1.0 - b.z
+        kz = logit_deriv(b.z, eps) * (b.n - b.h[:-1])
+        km = logit_deriv(b.m, eps) * b.av
+        u = np.empty((3,) + carry.shape[1:])  # the three inverses' arguments
 
-    return propagate
+        def step(i, dh):
+            da, _, _, dnu = b.deltas[:, :, i]
+            u[0] = da
+            np.multiply(kz[i], dh, out=u[1])
+            np.multiply(km[i], dnu, out=u[2])
+            return carry[i] * dh + V @ u.reshape(-1, dh.shape[1])
+
+        return step
+
+    return per_block
 
 
 def gru_tp_backward(
@@ -273,7 +295,7 @@ def gru_tp_backward(
     """
     if hyper.variant != LINEARIZED:
         raise ValueError(f"the GRU has only the {LINEARIZED!r} TP rule, not {hyper.variant!r}")
-    rnn._check_cache(params, cache)
+    rnn._check_cache(params, cache, len(_edges(cache.tau)))
     Vs = [linalg.ridge_pinv(W, hyper.r) for W in (params.W_hm, params.W_hz, params.W_hn)]
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params)

@@ -132,6 +132,13 @@ def _check_inputs(params, x_seq) -> np.ndarray:
     return x_seq
 
 
+# Time steps per block: a rollout that keeps states projects a block's inputs
+# in one stacked product (the GRU stores its states at the block edges), and
+# both backward sweeps keep block-sized buffers and contract each block in
+# one GEMM over _BLOCK * B columns.
+_BLOCK = 8
+
+
 def _head(params, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits W_hy h + b_y and the prediction: softmax, or the logits for mse."""
     logits = params.W_hy @ h + params.b_y[:, None]
@@ -143,19 +150,28 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> For
 
     With ``states`` False only the running state is kept, so memory is
     O(p B) in tau; the logits and y_hat are the same bits either way, but
-    the cache cannot feed a backward pass.
+    the cache cannot feed a backward pass. A rollout that keeps its states
+    projects the inputs W_xh x_t of _BLOCK steps in one stacked product
+    into the state slots they precede, added in the per-step order
+    (W_xh x_t + W_hh h) + b_h; without states it projects one step at a
+    time, so neither holds a block of projections of its own.
     """
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     p = params.p
     hs = np.zeros((tau + 1, p, B)) if states else None
     act = params.activation
+    b_h = params.b_h[:, None]
     h = np.zeros((p, B))
-    for t in range(tau):
-        u = params.W_xh @ x_seq[t] + params.W_hh @ h + params.b_h[:, None]
-        h = act.apply(u)
-        if states:
-            hs[t + 1] = h
+    if states:
+        for lo in range(0, tau, _BLOCK):
+            hi = min(lo + _BLOCK, tau)
+            np.matmul(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1])  # W_xh x_t, then h_t
+            for t in range(lo + 1, hi + 1):
+                hs[t] = h = act.apply(hs[t] + params.W_hh @ h + b_h)
+    else:
+        for x in x_seq:
+            h = act.apply(params.W_xh @ x + params.W_hh @ h + b_h)
     logits, y_hat = _head(params, h)
     return ForwardCache(
         xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,
@@ -209,23 +225,19 @@ def output_delta(y, cache: ForwardCache) -> np.ndarray:
     return 2.0 * (cache.y_hat - y) / (K * B)
 
 
-def _check_cache(params, cache):
-    """Check that a forward cache of either cell kept its states and fits params."""
+def _check_cache(params, cache, n_states: int):
+    """Check that a forward cache of either cell kept its n_states states
+    (tau + 1 for the RNN, one per block edge for the GRU) and fits params."""
     if cache.hs is None:
         raise CacheMismatch("forward ran with states=False and kept no per-step states")
     tau, d, B = cache.xs.shape
-    if d != params.d or cache.hs.shape != (tau + 1, params.p, B):
+    if d != params.d or cache.hs.shape != (n_states, params.p, B):
         raise CacheMismatch(f"cache inputs {cache.xs.shape} and states {cache.hs.shape} "
                             f"do not fit params with p={params.p}, d={params.d}")
     if cache.logits.shape[0] != params.n_out:
         raise CacheMismatch("output head size changed since the forward pass")
     if cache.output_kind != params.output_kind:
         raise CacheMismatch("output kind changed since the forward pass")
-
-
-# Time steps per block of both cells' backward sweeps: their own buffers stay
-# block-sized, and each contraction is still one GEMM over _BLOCK * B columns.
-_BLOCK = 8
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -273,7 +285,8 @@ def _backward(params, cache, y, sweep, propagate, gamma_h: float | None = None) 
     BPTT (``gamma_h`` None) starts ``sweep`` from dloss/dh_tau = W_hy^T dz and
     returns the gradient. TP starts it from the displacement -gamma_h W_hy^T dz
     and returns a direction, with the output head's plain gradient negated so
-    that theta + gamma_theta * d descends.
+    that theta + gamma_theta * d descends. Either cell's cache ends its states
+    with h_tau, which the head reads.
     """
     dz = output_delta(y, cache)
     signal = params.W_hy.T @ dz
@@ -289,5 +302,5 @@ def _backward(params, cache, y, sweep, propagate, gamma_h: float | None = None) 
 
 def bptt(params: RnnParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    _check_cache(params, cache)
+    _check_cache(params, cache, cache.tau + 1)
     return _backward(params, cache, y, _sweep, _transposed_jacobian(params))

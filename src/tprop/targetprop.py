@@ -111,13 +111,16 @@ def tp_direction(
     multiply nothing). Exactly one matrix factorization happens per call.
     The difference variant (finite_difference) agrees with the linearized
     one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
-    plain inverse variant (exact_inverse) drops the correction term.
+    plain inverse variant (exact_inverse) drops the correction term. Its
+    recursion amplifies rounding, so compare it by directions at a fixed
+    cache, never by training trajectories: directions 4e-16 apart can end
+    a 30-iteration run with parameters 4e-2 apart.
 
     With ``debug_true_jacobian`` the inverse operator is replaced by the true
     transposed layer Jacobian, which turns the result into -gamma_h times the
     backprop gradient for the recurrent tensors; useful as a wiring check.
     """
-    rnn._check_cache(params, cache)
+    rnn._check_cache(params, cache, cache.tau + 1)
     V = precompute_V(params, hyper.r)
     if debug_true_jacobian:
         propagate = rnn._transposed_jacobian(params)

@@ -146,8 +146,8 @@ def load_idx(images_path, labels_path) -> ImageDataset:
         if magic != IMAGES_MAGIC:
             raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
         raw = _read_exact(f, n * h * w, images_path)
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
-    images = images.astype(np.float32) / 255.0
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w).astype(np.float32)
+    images /= 255.0
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, labels_path))
         if magic != LABELS_MAGIC:
@@ -193,11 +193,18 @@ def image_batch(
     k: int,
     permutation: np.ndarray | None = None,
 ) -> Batch:
-    """Assemble a (tau, k, B) batch of pixel sequences for the given rows."""
-    seqs = [pixel_sequence(dataset, int(i), k, permutation) for i in indices]
-    inputs = np.stack(seqs, axis=2)
-    labels = dataset.labels[np.asarray(indices)]
-    return Batch(inputs=inputs, labels=labels, task="pixels")
+    """Assemble a (tau, k, B) batch of pixel sequences for the given rows:
+    column b holds :func:`pixel_sequence` of row indices[b]. One gather
+    takes the pixels in sequence order, the permutation as its column
+    index, and one conversion makes them float64."""
+    indices = np.asarray(indices)
+    npix = dataset.pixels
+    if npix % k != 0:
+        raise IndivisibleChunk(f"{k} pixels per step does not divide {npix}")
+    order = np.arange(npix) if permutation is None else np.asarray(permutation)
+    pixels = dataset.images.reshape(dataset.n, npix)[indices[None, :], order[:, None]]
+    inputs = pixels.astype(np.float64).reshape(npix // k, k, len(indices))
+    return Batch(inputs=inputs, labels=dataset.labels[indices], task="pixels")
 
 
 def epoch_indices(n: int, batch: int, rng: np.random.Generator):

@@ -247,6 +247,20 @@ def test_bench_csv_counts_inversions(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("tau,p,method")
 
 
+def test_bench_gru_counts_three_inversions(capsys):
+    argv = ["bench", "--model", "gru", "--tau-grid", "5,13", "--p-grid", "8",
+            "--batch", "2", "--reps", "2"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "tau,p,method,ms_per_iter,inversions"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(tau, method) for tau, _, method, _, _ in rows] == [
+        ("5", "gru-bp"), ("5", "gru-tp"), ("13", "gru-bp"), ("13", "gru-tp")]
+    for _, _, method, ms, inversions in rows:
+        assert float(ms) > 0.0
+        assert int(inversions) == (3 if method == "gru-tp" else 0)
+
+
 def test_bench_rejects_nonpositive_sizes(capsys):
     for bad in (["--reps", "0"], ["--batch", "0"], ["--tau-grid", "0"], ["--p-grid", "-1"],
                 ["--tau-grid", "10.9"], ["--p-grid", "inf"]):

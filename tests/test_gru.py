@@ -5,7 +5,6 @@ import pytest
 from tprop.gru import (
     RECURRENT_TENSORS,
     GruParams,
-    _gates,
     gru_bptt,
     gru_forward,
     gru_tp_backward,
@@ -29,27 +28,58 @@ def zeroed(params):
     return params
 
 
-def gates_and_candidates(params, cache):
-    """(m_t, z_t, n_t) for every step, rebuilt from the params and the
-    cache's x_t and h_{t-1}: the gates through the forward's own _gates,
-    n_t in the forward's order of operations."""
-    out = []
-    for t in range(cache.tau):
-        m, z = _gates(params, cache.xs[t], cache.hs[t])
-        n = np.tanh(params.W_in @ cache.xs[t] + params.b_in[:, None]
-                    + m * (params.W_hn @ cache.hs[t] + params.b_hn[:, None]))
-        out.append((m, z, n))
-    return out
+def _sigmoid(u):
+    return 1.0 / (1.0 + np.exp(-u))
+
+
+def rollout(params, xs):
+    """The cell rolled one step at a time from h_0 = 0, each expression
+    written out in the forward's order of operations: the stacks of
+    h_0 .. h_tau and of every step's m_t, z_t, a_t and n_t."""
+    h = np.zeros((params.p, xs.shape[2]))
+    hs, ms, zs, avs, ns = [h], [], [], [], []
+    for x in xs:
+        m = _sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
+        z = _sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
+        av = params.W_hn @ h + params.b_hn[:, None]
+        n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+        h = (1.0 - z) * h + z * n
+        for stack, v in ((hs, h), (ms, m), (zs, z), (avs, av), (ns, n)):
+            stack.append(v)
+    return tuple(np.array(stack) for stack in (hs, ms, zs, avs, ns))
+
+
+def block_edges(tau):
+    """t = 0 and t = tau - kC, C = _BLOCK: where the GRU cache keeps h_t."""
+    return sorted({0, *range(tau, 0, -_BLOCK)})
 
 
 def test_forward_all_zero_params(rng):
     params = zeroed(init_gru_params(4, 2, 3, seed=0))
-    cache = gru_forward(params, rng.standard_normal((5, 2, 2)))
-    for t, (m, z, n) in enumerate(gates_and_candidates(params, cache)):
-        npt.assert_allclose(m, 0.5, atol=0)
-        npt.assert_allclose(z, 0.5, atol=0)
-        npt.assert_allclose(n, 0.0, atol=0)
-        npt.assert_allclose(cache.hs[t + 1], 0.0, atol=0)
+    xs = rng.standard_normal((5, 2, 2))
+    cache = gru_forward(params, xs)
+    hs, ms, zs, _, ns = rollout(params, xs)
+    npt.assert_allclose(ms, 0.5, atol=0)
+    npt.assert_allclose(zs, 0.5, atol=0)
+    npt.assert_allclose(ns, 0.0, atol=0)
+    npt.assert_allclose(hs, 0.0, atol=0)
+    npt.assert_allclose(cache.hs, 0.0, atol=0)
+
+
+@pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])
+def test_cache_keeps_one_state_per_block_edge(rng, output_kind):
+    params = init_gru_params(6, 3, 2, output_kind=output_kind, seed=14)
+    C = _BLOCK
+    for tau in (1, C - 1, C, C + 1, 2 * C + 3):
+        xs = rng.standard_normal((tau, 3, 5))
+        cache = gru_forward(params, xs)
+        hs = rollout(params, xs)[0]
+        edges = block_edges(tau)
+        assert len(edges) == -(-tau // C) + 1 and edges[-1] == tau
+        assert cache.hs.shape == (len(edges), 6, 5)
+        assert cache.hs.tobytes() == hs[edges].tobytes(), tau
+        logits = params.W_hy @ hs[-1] + params.b_y[:, None]
+        assert cache.logits.tobytes() == logits.tobytes(), tau
 
 
 def test_forward_closed_update_gate_freezes_state(rng):
@@ -58,20 +88,21 @@ def test_forward_closed_update_gate_freezes_state(rng):
     params.W_hz[...] = 0.0
     params.b_z[...] = -40.0  # z ~ 4e-18, the state barely moves
     xs = rng.standard_normal((6, 2, 3))
-    cache = gru_forward(params, xs)
+    hs = rollout(params, xs)[0]
     for t in range(6):
-        npt.assert_allclose(cache.hs[t + 1], cache.hs[t], atol=1e-15)
+        npt.assert_allclose(hs[t + 1], hs[t], atol=1e-15)
+    npt.assert_allclose(gru_forward(params, xs).hs, 0.0, atol=1e-15)
 
 
 def test_forward_state_recurrence_invariant(rng):
     params = init_gru_params(5, 3, 2, seed=2)
-    cache = gru_forward(params, rng.standard_normal((4, 3, 3)))
-    for t, (m, z, n) in enumerate(gates_and_candidates(params, cache)):
-        want = (1 - z) * cache.hs[t] + z * n
-        npt.assert_allclose(cache.hs[t + 1], want, atol=0)
-        assert np.all((m > 0) & (m < 1))
-        assert np.all((z > 0) & (z < 1))
-        assert np.all((n > -1) & (n < 1))
+    xs = rng.standard_normal((4, 3, 3))
+    hs, ms, zs, _, ns = rollout(params, xs)
+    npt.assert_allclose(hs[1:], (1 - zs) * hs[:-1] + zs * ns, atol=0)
+    assert np.all((ms > 0) & (ms < 1))
+    assert np.all((zs > 0) & (zs < 1))
+    assert np.all((ns > -1) & (ns < 1))
+    assert gru_forward(params, xs).hs[-1].tobytes() == hs[-1].tobytes()
 
 
 def test_forward_at_pixel_scale(rng):
@@ -128,8 +159,7 @@ def test_bptt_saturated_update_gate_drops_carry_term(rng):
     params.b_z[...] = 40.0
     xs = rng.standard_normal((2, 2, 2))
     cache = gru_forward(params, xs)
-    _, z = _gates(params, cache.xs[0], cache.hs[0])
-    npt.assert_allclose(z, 1.0, atol=1e-15)
+    npt.assert_allclose(rollout(params, xs)[2], 1.0, atol=1e-15)
     d = gru_bptt(params, cache, rng.integers(0, 2, size=2))
     assert all(np.all(np.isfinite(v)) for v in d.values())
     # the z-gate parameter gradients die with z(1-z)
@@ -144,6 +174,10 @@ def test_bptt_cache_mismatch():
     cache = gru_forward(other, np.zeros((2, 2, 3)))
     with pytest.raises(CacheMismatch):
         gru_bptt(params, cache, y)
+    per_step = gru_forward(params, np.zeros((2, 2, 3)))
+    per_step.hs = np.zeros((3, 4, 3))  # h_0 .. h_2, where the GRU keeps h_0 and h_2
+    with pytest.raises(CacheMismatch):
+        gru_bptt(params, per_step, y)
     lean = gru_forward(params, np.zeros((2, 2, 3)), states=False)
     with pytest.raises(CacheMismatch, match="states=False"):
         gru_bptt(params, lean, y)
@@ -167,26 +201,19 @@ def test_tp_backward_rejects_rnn_only_variants(variant, debug):
     assert factorization_count() == before
 
 
-def _sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-u))
-
-
 def _tp_per_step_reference(params, cache, y, hy):
-    """The GRU TP sweep written out one step at a time: gates rebuilt from
-    the params, logit derivatives at explicitly clipped gates, and the ridge
-    inverses of W_hm, W_hz and W_hn from a dense solve."""
+    """The GRU TP sweep written out one step at a time: states and gates
+    from the per-step rollout, logit derivatives at explicitly clipped
+    gates, and the ridge inverses of W_hm, W_hz and W_hn from a dense solve."""
     eye = np.eye(params.p)
     V_m, V_z, V_n = (np.linalg.solve(W.T @ W + hy.r * eye, W.T)
                      for W in (params.W_hm, params.W_hz, params.W_hn))
     lo, hi = hy.epsilon, 1.0 - hy.epsilon
     d = {k: np.zeros_like(params.tensors()[k]) for k in RECURRENT_TENSORS}
     dh = -hy.gamma_h * (params.W_hy.T @ output_delta(y, cache))
+    hs, ms, zs, avs, ns = rollout(params, cache.xs)
     for t in range(cache.tau - 1, -1, -1):
-        x, h = cache.xs[t], cache.hs[t]
-        m = _sigmoid(params.W_im @ x + params.W_hm @ h + params.b_m[:, None])
-        z = _sigmoid(params.W_iz @ x + params.W_hz @ h + params.b_z[:, None])
-        av = params.W_hn @ h + params.b_hn[:, None]
-        n = np.tanh(params.W_in @ x + params.b_in[:, None] + m * av)
+        x, h, m, z, av, n = cache.xs[t], hs[t], ms[t], zs[t], avs[t], ns[t]
         dzeta = dh * (n - h) * z * (1.0 - z)
         dnu = dh * z * (1.0 - n * n)
         dmu = dnu * av * m * (1.0 - m)
@@ -215,7 +242,7 @@ def test_tp_backward_matches_per_step_reference(rng, saturation):
     for tau in (1, C - 1, C, C + 1, 2 * C + 3):
         cache = gru_forward(params, rng.standard_normal((tau, 3, 4)))
         y = rng.integers(0, 3, size=4)
-        gates = np.concatenate(_gates(params, cache.xs, cache.hs[:-1]))
+        gates = np.concatenate(rollout(params, cache.xs)[1:3])
         clipped = np.any((gates < hy.epsilon) | (gates > 1.0 - hy.epsilon))
         assert clipped == (saturation > 0)
         got = gru_tp_backward(params, cache, y, hy)
@@ -287,7 +314,7 @@ def test_tp_backward_finite_under_saturated_gates(rng):
     d = gru_tp_backward(params, cache, rng.integers(0, 2, size=2), hyper())
     for name, tensor in d.items():
         assert np.all(np.isfinite(tensor)), name
-    _, z = _gates(params, cache.xs[0], cache.hs[0])
+    z = rollout(params, xs)[2][0]
     inv_d = ACTIVATIONS["sigmoid"].inv_deriv(z)
     assert np.all(inv_d >= 4.0) and np.all(np.isfinite(inv_d))
 

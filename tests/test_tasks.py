@@ -241,6 +241,21 @@ def test_image_batch_layout(rng):
     assert np.array_equal(batch.labels, ds.labels[[1, 4, 6]])
 
 
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_image_batch_matches_per_image_sequences(rng, k, permuted):
+    ds = synthetic_dataset(rng, n=9)
+    perm = fixed_permutation(7) if permuted else None
+    rows = np.array([5, 0, 8, 5])
+    batch = image_batch(ds, rows, k, perm)
+    want = np.stack([pixel_sequence(ds, int(i), k, perm) for i in rows], axis=2)
+    assert batch.inputs.dtype == np.float64 and batch.inputs.flags.c_contiguous
+    assert batch.inputs.shape == want.shape
+    assert batch.inputs.tobytes() == want.tobytes()
+    with pytest.raises(IndivisibleChunk):
+        image_batch(ds, rows, 5, perm)
+
+
 def test_epoch_indices_no_replacement_within_epoch():
     from itertools import islice
 

@@ -356,8 +356,9 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("model", ["rnn", "gru"])
 def test_evaluate_memory_does_not_grow_with_sequence_length(model):
-    # A training rollout stores one (tau, p, B) stack, the states, for
-    # either cell. Prediction needs only the running state.
+    # A training rollout stores at most one (tau, p, B) stack of states
+    # (the RNN's; the GRU keeps one per block). Prediction needs only the
+    # running state.
     cfg = small_config(model=model, T=400, hidden=128, batch=32)
     task = build_task(cfg)
     params = init_model(cfg, task, seed=0)
@@ -367,14 +368,16 @@ def test_evaluate_memory_does_not_grow_with_sequence_length(model):
 
 
 def test_train_keeps_one_gru_rollout_live():
-    # One GRU rollout is 1 stack (h); the backward recomputes m_t, z_t, a_t
-    # and n_t a block of steps at a time, and the previous iteration's cache
-    # must be released before the next forward allocates its own.
-    for method in ("bp", "tp"):
-        cfg = small_config(model="gru", method=method, T=200, hidden=64, batch=32, iters=2)
-        stack = cfg.T * cfg.hidden * cfg.batch * 8
-        peak = _traced_peak(lambda: train(cfg))
-        assert peak < 2.0 * stack, (method, peak / stack)
+    # A GRU rollout keeps h_t at the block edges only, 1/_BLOCK of a stack;
+    # the backward re-runs one block at a time into block-sized buffers,
+    # and the previous iteration's cache must be released before the next
+    # forward allocates its own. The fixed block buffers weigh more at T=200.
+    for T, bound in ((200, 1.25), (800, 0.6)):
+        for method in ("bp", "tp"):
+            cfg = small_config(model="gru", method=method, T=T, hidden=64, batch=32, iters=2)
+            stack = cfg.T * cfg.hidden * cfg.batch * 8
+            peak = _traced_peak(lambda: train(cfg))
+            assert peak < bound * stack, (T, method, peak / stack)
 
 
 @pytest.mark.parametrize("method", ["bp", "tp", "tp-dtp", "tp-exact"])
