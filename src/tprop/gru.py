@@ -146,8 +146,8 @@ def _roll(params: GruParams, x, h, block: _Block | None = None):
     are one stacked product each, added in the order of the per-step
     expressions, so the states do not depend on where blocks start. With
     ``block``, each step's h_t, m_t, z_t, a_t and n_t are written into it."""
-    xm, xz = params.W_im @ x, params.W_iz @ x
-    xn = params.W_in @ x + params.b_in[:, None]
+    xm, xz = rnn._project(params.W_im, x), rnn._project(params.W_iz, x)
+    xn = rnn._project(params.W_in, x) + params.b_in[:, None]
     b_m, b_z, b_hn = params.b_m[:, None], params.b_z[:, None], params.b_hn[:, None]
     for i in range(len(x)):
         m = sigmoid(xm[i] + params.W_hm @ h + b_m)
@@ -160,15 +160,18 @@ def _roll(params: GruParams, x, h, block: _Block | None = None):
     return h
 
 
-def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True) -> GruCache:
+def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
+                out: np.ndarray | None = None) -> GruCache:
     """Roll the cell over x_seq (tau, d, B) from h_0 = 0, keeping the states
     at the block edges; ``states`` as in :func:`tprop.rnn.forward`, and
-    without them the blocks are single steps."""
+    without them the blocks are single steps. ``out``, a float64
+    (len(_edges(tau)), p, B) array, receives the edge states as in
+    :func:`tprop.rnn.forward`."""
     x_seq = rnn._check_inputs(params, x_seq)
-    tau = x_seq.shape[0]
+    tau, _, B = x_seq.shape
     edges = _edges(tau) if states else range(tau + 1)
-    h = np.zeros((params.p, x_seq.shape[2]))
-    hs = np.zeros((len(edges),) + h.shape) if states else None
+    hs = rnn._state_stack(out, (len(edges), params.p, B), states)
+    h = np.zeros((params.p, B))
     for j in range(1, len(edges)):
         h = _roll(params, x_seq[edges[j - 1]:edges[j]], h)
         if states:

@@ -139,13 +139,39 @@ def _check_inputs(params, x_seq) -> np.ndarray:
 _BLOCK = 8
 
 
+def _project(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The input projection W x of one step's inputs x (d, B) or a block's
+    (C, d, B), into ``out`` when given. At d = 1 (pixel sequences) it is
+    the broadcast product W * x: the same bits as the K = 1 GEMM, which
+    BLAS runs slowly."""
+    return (np.multiply if W.shape[1] == 1 else np.matmul)(W, x, out=out)
+
+
+def _state_stack(out: np.ndarray | None, shape: tuple[int, ...], states: bool):
+    """The stack a rollout writes its states into: ``out`` when given, else
+    a new one (None without states). ``out`` must be a C-contiguous float64
+    array of the given shape, so the rollout writes the same bits into it;
+    its h_0 slot is zeroed and the rollout overwrites the rest."""
+    if out is None:
+        return np.zeros(shape) if states else None
+    if not states:
+        raise ValueError("out= receives the states, but states=False keeps none")
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape and out.flags.c_contiguous):
+        raise DimensionMismatch(f"out= must be a C-contiguous float64 {shape} array, got "
+                                f"{getattr(out, 'dtype', type(out))} {np.shape(out)}")
+    out[0] = 0.0
+    return out
+
+
 def _head(params, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits W_hy h + b_y and the prediction: softmax, or the logits for mse."""
     logits = params.W_hy @ h + params.b_y[:, None]
     return logits, (softmax(logits) if params.output_kind == SOFTMAX_CE else logits)
 
 
-def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> ForwardCache:
+def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True,
+            out: np.ndarray | None = None) -> ForwardCache:
     """Roll the network over x_seq (tau, d, B), starting from h_0 = 0.
 
     With ``states`` False only the running state is kept, so memory is
@@ -154,24 +180,27 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True) -> For
     projects the inputs W_xh x_t of _BLOCK steps in one stacked product
     into the state slots they precede, added in the per-step order
     (W_xh x_t + W_hh h) + b_h; without states it projects one step at a
-    time, so neither holds a block of projections of its own.
+    time, so neither holds a block of projections of its own. ``out``, a
+    float64 (tau + 1, p, B) array, receives the states in place of a new
+    stack (a training loop passes the previous batch's) and becomes
+    ``cache.hs``.
     """
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     p = params.p
-    hs = np.zeros((tau + 1, p, B)) if states else None
+    hs = _state_stack(out, (tau + 1, p, B), states)
     act = params.activation
     b_h = params.b_h[:, None]
     h = np.zeros((p, B))
     if states:
         for lo in range(0, tau, _BLOCK):
             hi = min(lo + _BLOCK, tau)
-            np.matmul(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1])  # W_xh x_t, then h_t
+            _project(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1])  # W_xh x_t, then h_t
             for t in range(lo + 1, hi + 1):
                 hs[t] = h = act.apply(hs[t] + params.W_hh @ h + b_h)
     else:
         for x in x_seq:
-            h = act.apply(params.W_xh @ x + params.W_hh @ h + b_h)
+            h = act.apply(_project(params.W_xh, x) + params.W_hh @ h + b_h)
     logits, y_hat = _head(params, h)
     return ForwardCache(
         xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,

@@ -70,7 +70,7 @@ def inverse_apply(
     (tau, d, B) and (tau, p, B) stacks of them.
     """
     z = params.activation.inverse(v_t, eps)
-    return V @ (z - params.W_xh @ x_t - params.b_h[:, None])
+    return V @ (z - rnn._project(params.W_xh, x_t) - params.b_h[:, None])
 
 
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,

@@ -2,8 +2,9 @@
 
 Synthetic tasks produce batches in the (tau, d, B) column-per-sample layout
 the networks consume. Image datasets are read from the classic big-endian
-IDX pair (images + labels), scaled to [0, 1], and sliced into pixel
-sequences of k pixels per step, optionally through a fixed permutation.
+IDX pair (images + labels) and kept as the file's bytes; a batch is sliced
+into pixel sequences of k pixels per step, optionally through a fixed
+permutation, and only its pixels are scaled to [0, 1].
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class IndivisibleChunk(ValueError):
     """Pixels per step does not divide the image size."""
 
 
+class BadHeader(ValueError):
+    """IDX header announces a non-positive record count or image size."""
+
+
 @dataclass
 class Batch:
     inputs: np.ndarray   # (tau, d, B) float64
@@ -51,7 +56,10 @@ class Batch:
 
 @dataclass
 class ImageDataset:
-    images: np.ndarray  # (N, H, W) float32 in [0, 1]
+    """Images as the IDX file stores them, one uint8 per pixel (a quarter of
+    a float32 copy); :func:`image_batch` scales the pixels of each batch."""
+
+    images: np.ndarray  # (N, H, W) uint8
     labels: np.ndarray  # (N,) int64
 
     @property
@@ -135,21 +143,25 @@ def _read_exact(f, nbytes: int, path) -> bytes:
     return buf
 
 
-def load_idx(images_path, labels_path) -> ImageDataset:
-    """Read an IDX image/label pair; pixels come back scaled by 1/255.
+def _read_header(f, path, fmt: str) -> tuple[int, ...]:
+    """The header's magic and its sizes, each of which must be positive."""
+    magic, *sizes = struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), path))
+    if min(sizes) < 1:
+        raise BadHeader(f"{path}: header sizes {sizes} must all be positive")
+    return magic, *sizes
 
-    Images are stored float32 to keep the big datasets reasonable; batches
-    are promoted to float64 when sequences are assembled.
-    """
+
+def load_idx(images_path, labels_path) -> ImageDataset:
+    """Read an IDX image/label pair; the images are a read-only uint8 view
+    of the file's pixel bytes, with no float copy."""
     with open(images_path, "rb") as f:
-        magic, n, h, w = struct.unpack(">iiii", _read_exact(f, 16, images_path))
+        magic, n, h, w = _read_header(f, images_path, ">iiii")
         if magic != IMAGES_MAGIC:
             raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
         raw = _read_exact(f, n * h * w, images_path)
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w).astype(np.float32)
-    images /= 255.0
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
     with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, labels_path))
+        magic, n_labels = _read_header(f, labels_path, ">ii")
         if magic != LABELS_MAGIC:
             raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {LABELS_MAGIC:#010x}")
         raw = _read_exact(f, n_labels, labels_path)
@@ -170,21 +182,9 @@ def fixed_permutation(seed: int, n: int = 784) -> np.ndarray:
     return perm
 
 
-def pixel_sequence(
-    dataset: ImageDataset, index: int, k: int, permutation: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-major pixel scan of one image, chunked into k pixels per step.
-
-    The permutation, when given, reorders the flattened pixels before
-    chunking. Returns (tau, k) with tau = H*W / k.
-    """
-    flat = dataset.images[index].reshape(-1).astype(np.float64)
-    if permutation is not None:
-        flat = flat[permutation]
-    npix = flat.size
-    if npix % k != 0:
-        raise IndivisibleChunk(f"{k} pixels per step does not divide {npix}")
-    return flat.reshape(npix // k, k)
+# Pixel value v scales to float32(v) / 255, correctly rounded in float32, then
+# widened: the bits of a batch taken from a float32 image store.
+_PIXEL_SCALE = (np.arange(256, dtype=np.float32) / np.float32(255)).astype(np.float64)
 
 
 def image_batch(
@@ -193,17 +193,20 @@ def image_batch(
     k: int,
     permutation: np.ndarray | None = None,
 ) -> Batch:
-    """Assemble a (tau, k, B) batch of pixel sequences for the given rows:
-    column b holds :func:`pixel_sequence` of row indices[b]. One gather
-    takes the pixels in sequence order, the permutation as its column
-    index, and one conversion makes them float64."""
+    """Assemble a (tau, k, B) batch of pixel sequences for the given rows.
+
+    Column b is the row-major pixel scan of image indices[b], reordered by
+    the permutation when one is given, chunked into tau = H*W / k steps of
+    k pixels. One gather takes the pixels in sequence order, the
+    permutation as its column index, and one table lookup scales them to
+    float64 in [0, 1]."""
     indices = np.asarray(indices)
     npix = dataset.pixels
     if npix % k != 0:
         raise IndivisibleChunk(f"{k} pixels per step does not divide {npix}")
     order = np.arange(npix) if permutation is None else np.asarray(permutation)
     pixels = dataset.images.reshape(dataset.n, npix)[indices[None, :], order[:, None]]
-    inputs = pixels.astype(np.float64).reshape(npix // k, k, len(indices))
+    inputs = _PIXEL_SCALE[pixels].reshape(npix // k, k, len(indices))
     return Batch(inputs=inputs, labels=dataset.labels[indices], task="pixels")
 
 

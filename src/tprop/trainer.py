@@ -309,10 +309,10 @@ def nesterov_step(theta: dict, velocity: dict, grad: dict,
         theta[name] += momentum * v - gamma * g
 
 
-def _forward_for(params, inputs, states: bool = True):
+def _forward_for(params, inputs, **kwargs):
     if isinstance(params, gru_mod.GruParams):
-        return gru_mod.gru_forward(params, inputs, states=states)
-    return rnn.forward(params, inputs, states=states)
+        return gru_mod.gru_forward(params, inputs, **kwargs)
+    return rnn.forward(params, inputs, **kwargs)
 
 
 def _direction_for(cfg, params, cache, y, hyper):
@@ -377,11 +377,12 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     else:
         stepsize, momentum = cfg.gamma_theta, (cfg.momentum if cfg.tp_momentum else 0.0)
     log = MetricsLog()
+    hs = None  # the state stack every rollout of the run writes into
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(cfg.iters):
             t0 = time.perf_counter()
             batch = task.sample(rng_data)
-            cache = _forward_for(params, batch.inputs)
+            cache = _forward_for(params, batch.inputs, out=hs)
             loss = rnn.loss(batch.labels, cache)
             if not np.isfinite(loss):
                 log.diverged = True
@@ -396,7 +397,9 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                 break
             nesterov_step(theta, velocity, g, stepsize, momentum)
             # Release this batch's rollout now, not when the next forward
-            # rebinds it, so one cache is live at a time.
+            # rebinds it, so one cache is live at a time; its state stack
+            # is kept for the next rollout to overwrite.
+            hs = cache.hs
             cache = g = None
             log.iters.append(it)
             log.losses.append(loss)

@@ -11,7 +11,7 @@ from tprop.gru import (
     init_gru_params,
 )
 from tprop.activations import ACTIVATIONS
-from tprop.linalg import factorization_count
+from tprop.linalg import DimensionMismatch, factorization_count
 from tprop.rnn import _BLOCK, MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
 from tprop.targetprop import TpHyper
 
@@ -80,6 +80,37 @@ def test_cache_keeps_one_state_per_block_edge(rng, output_kind):
         assert cache.hs.tobytes() == hs[edges].tobytes(), tau
         logits = params.W_hy @ hs[-1] + params.b_y[:, None]
         assert cache.logits.tobytes() == logits.tobytes(), tau
+
+
+@pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])
+def test_forward_writes_edge_states_into_out(rng, output_kind):
+    params = init_gru_params(6, 3, 2, output_kind=output_kind, seed=15)
+    C = _BLOCK
+    for tau in (1, C - 1, C, C + 1, 2 * C + 3):
+        xs = rng.standard_normal((tau, 3, 5))
+        fresh = gru_forward(params, xs)
+        buf = np.full((len(block_edges(tau)), 6, 5), np.nan)
+        cache = gru_forward(params, xs, out=buf)
+        assert cache.hs is buf, tau
+        assert buf.tobytes() == fresh.hs.tobytes(), tau
+        assert cache.logits.tobytes() == fresh.logits.tobytes(), tau
+        assert cache.y_hat.tobytes() == fresh.y_hat.tobytes(), tau
+
+
+def test_forward_rejects_unfit_out():
+    params = init_gru_params(4, 3, 2, seed=0)
+    xs = np.zeros((2 * _BLOCK + 3, 3, 2))
+    n = len(block_edges(len(xs)))
+    unfit = (
+        np.zeros((len(xs) + 1, 4, 2)),              # every state, not one per edge
+        np.zeros((n, 4, 2), dtype=np.float32),
+        np.zeros((n, 2, 4)).transpose(0, 2, 1),     # right shape, not C-contiguous
+    )
+    for out in unfit:
+        with pytest.raises(DimensionMismatch):
+            gru_forward(params, xs, out=out)
+    with pytest.raises(ValueError):
+        gru_forward(params, xs, states=False, out=np.zeros((n, 4, 2)))
 
 
 def test_forward_closed_update_gate_freezes_state(rng):

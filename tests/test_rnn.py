@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tprop import gru, rnn, targetprop
 from tprop.activations import ACTIVATIONS
+from tprop.linalg import DimensionMismatch
 from tprop.rnn import (
+    _BLOCK,
     MSE,
     SOFTMAX_CE,
     CacheMismatch,
@@ -81,6 +84,81 @@ def test_forward_dimension_mismatch():
 
     with pytest.raises(DimensionMismatch):
         forward(params, np.zeros((5, 7, 2)))
+
+
+@pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])
+def test_forward_writes_states_into_out(rng, output_kind):
+    params = init_params(6, 3, 2, output_kind=output_kind, seed=3)
+    C = _BLOCK
+    for tau in (1, C - 1, C, C + 1, 2 * C + 3):
+        xs = rng.standard_normal((tau, 3, 5))
+        fresh = forward(params, xs)
+        buf = np.full((tau + 1, 6, 5), np.nan)
+        cache = forward(params, xs, out=buf)
+        assert cache.hs is buf, tau
+        assert buf.tobytes() == fresh.hs.tobytes(), tau
+        assert cache.logits.tobytes() == fresh.logits.tobytes(), tau
+        assert cache.y_hat.tobytes() == fresh.y_hat.tobytes(), tau
+
+
+def test_forward_rejects_unfit_out():
+    params = init_params(4, 3, 2, seed=0)
+    xs = np.zeros((5, 3, 2))
+    unfit = (
+        np.zeros((5, 4, 2)),                       # one state short
+        np.zeros((6, 2, 4)),                       # p and B swapped
+        np.zeros((6, 4, 2), dtype=np.float32),
+        np.zeros((6, 2, 4)).transpose(0, 2, 1),    # right shape, not C-contiguous
+        np.zeros((6, 4, 2)).tolist(),
+    )
+    for out in unfit:
+        with pytest.raises(DimensionMismatch):
+            forward(params, xs, out=out)
+    with pytest.raises(ValueError):
+        forward(params, xs, states=False, out=np.zeros((6, 4, 2)))
+
+
+def _gemm_projection(W, x, out=None):
+    return np.matmul(W, x, out=out)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_input_projection_gives_the_gemm_bits(rng, monkeypatch, d):
+    # At d = 1 the input projection is a broadcast product; states, logits
+    # and every direction must carry the bits of the K = 1 GEMM it replaces.
+    # Pixel-like inputs: many exact zeros, so signed zeros would show.
+    shape = (2 * _BLOCK + 3, d, 5)
+    xs = np.where(rng.random(shape) < 0.4, 0.0, rng.random(shape))
+    y = rng.integers(0, 3, size=5)
+    hyper = targetprop.TpHyper(gamma_h=0.05)
+
+    def outputs():
+        biases = np.random.default_rng(1)
+        out = []
+        for act in sorted(ACTIVATIONS):
+            params = init_params(6, d, 3, act, seed=4)
+            params.b_h[:] = biases.standard_normal(6) * 0.1
+            cache = forward(params, xs)
+            out += [cache.hs, cache.logits, forward(params, xs, states=False).logits]
+            dirs = [bptt(params, cache, y),
+                    targetprop.tp_direction(params, cache, y, hyper, debug_true_jacobian=True)]
+            dirs += [targetprop.tp_direction(params, cache, y, targetprop.TpHyper(variant=v))
+                     for v in targetprop.VARIANTS]
+            out += [g for dr in dirs for g in dr.values()]
+        gp = gru.init_gru_params(6, d, 3, seed=4)
+        gp.b_in[:] = biases.standard_normal(6) * 0.1
+        cache = gru.gru_forward(gp, xs)
+        out += [cache.hs, cache.logits, gru.gru_forward(gp, xs, states=False).logits]
+        for dr in (gru.gru_bptt(gp, cache, y), gru.gru_tp_backward(gp, cache, y, hyper),
+                   gru.gru_tp_backward(gp, cache, y, hyper, debug_true_jacobian=True)):
+            out += list(dr.values())
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(rnn, "_project", _gemm_projection)
+    want = outputs()
+    assert len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_loss_uniform_logits_is_log_k(rng):

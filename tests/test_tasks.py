@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprop.tasks import (
+    BadHeader,
     BadMagic,
     CountMismatch,
     ImageDataset,
@@ -22,7 +23,6 @@ from tprop.tasks import (
     image_batch,
     load_batches_csv,
     load_idx,
-    pixel_sequence,
 )
 
 SPECIAL = (4, 5)  # one-hot rows for the two marker symbols
@@ -148,8 +148,8 @@ def test_load_idx_round_trip(tmp_path, rng):
     labels = rng.integers(0, 10, size=10).astype(np.uint8)
     ip, lp = write_idx(tmp_path, images, labels)
     ds = load_idx(ip, lp)
-    assert ds.images.shape == (10, 28, 28)
-    npt.assert_allclose(ds.images, images / 255.0, atol=1e-7)
+    assert ds.images.shape == (10, 28, 28) and ds.images.dtype == np.uint8
+    assert ds.images.tobytes() == images.tobytes()
     assert np.array_equal(ds.labels, labels)
 
 
@@ -179,10 +179,37 @@ def test_load_idx_count_mismatch(tmp_path, rng):
         load_idx(str(ip), str(lp))
 
 
+@pytest.mark.parametrize("field", ["n", "h", "w", "labels"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_load_idx_rejects_non_positive_header_sizes(tmp_path, field, size):
+    n, h, w, n_labels = (size if field == f else 3 for f in ("n", "h", "w", "labels"))
+    ip = tmp_path / "images-idx3-ubyte"
+    lp = tmp_path / "labels-idx1-ubyte"
+    # the payloads hold 3 x 3 x 3 pixels and 3 labels whatever the header says
+    ip.write_bytes(struct.pack(">iiii", 0x803, n, h, w) + bytes(27))
+    lp.write_bytes(struct.pack(">ii", 0x801, n_labels) + bytes(3))
+    with pytest.raises(BadHeader):
+        load_idx(str(ip), str(lp))
+
+
 def synthetic_dataset(rng, n=6):
-    images = rng.uniform(0, 1, size=(n, 28, 28)).astype(np.float32)
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    images[:, 0, :3] = (0, 1, 255)  # both ends of the pixel range, and the least step
     labels = rng.integers(0, 10, size=n)
     return ImageDataset(images=images, labels=labels)
+
+
+def pixel_sequence(dataset, index, k, permutation=None):
+    """One image's pixel sequence (tau, k) as a float32 image store gave it:
+    the row-major scan scaled by 1/255 in float32 and widened to float64,
+    reordered by the permutation, then chunked."""
+    flat = (dataset.images[index].reshape(-1).astype(np.float32) / 255.0).astype(np.float64)
+    if permutation is not None:
+        flat = flat[permutation]
+    npix = flat.size
+    if npix % k != 0:
+        raise IndivisibleChunk(f"{k} pixels per step does not divide {npix}")
+    return flat.reshape(npix // k, k)
 
 
 def test_pixel_sequence_shapes(rng):
@@ -212,7 +239,7 @@ def test_pixel_sequence_chunks_recover_permuted_vector(rng):
     ds = synthetic_dataset(rng)
     perm = fixed_permutation(99)
     seq = pixel_sequence(ds, 1, k=16, permutation=perm)
-    flat = ds.images[1].reshape(-1)[perm]
+    flat = pixel_sequence(ds, 1, k=1).reshape(-1)[perm]
     npt.assert_allclose(seq.reshape(-1), flat, atol=0)
 
 
@@ -229,7 +256,9 @@ def test_fixed_permutation_preserves_pixel_multiset(rng):
     ds = synthetic_dataset(rng)
     perm = fixed_permutation(11)
     seq = pixel_sequence(ds, 3, k=28, permutation=perm)
-    assert sorted(seq.reshape(-1)) == sorted(ds.images[3].reshape(-1))
+    assert sorted(seq.reshape(-1)) == sorted(pixel_sequence(ds, 3, k=28).reshape(-1))
+    batch = image_batch(ds, np.array([3]), 28, perm)
+    assert sorted(batch.inputs.reshape(-1)) == sorted(seq.reshape(-1))
 
 
 def test_image_batch_layout(rng):
@@ -241,7 +270,7 @@ def test_image_batch_layout(rng):
     assert np.array_equal(batch.labels, ds.labels[[1, 4, 6]])
 
 
-@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("k", [1, 4, 28])
 @pytest.mark.parametrize("permuted", [False, True])
 def test_image_batch_matches_per_image_sequences(rng, k, permuted):
     ds = synthetic_dataset(rng, n=9)

@@ -1,4 +1,5 @@
 import copy
+import struct
 import tracemalloc
 
 import numpy as np
@@ -389,3 +390,48 @@ def test_train_rnn_peak_below_bound(method):
     stack = cfg.T * cfg.hidden * cfg.batch * 8
     peak = _traced_peak(lambda: train(cfg))
     assert peak < 2.0 * stack, peak / stack
+
+
+@pytest.mark.parametrize("model", ["rnn", "gru"])
+def test_train_writes_every_rollout_into_one_state_stack(monkeypatch, model):
+    # The first rollout allocates the stack; every later one gets it as out=.
+    module, attr = (rnn, "forward") if model == "rnn" else (gru, "gru_forward")
+    forward = getattr(module, attr)
+    seen = []
+
+    def recording(*args, **kwargs):
+        cache = forward(*args, **kwargs)
+        out = kwargs.get("out")
+        assert out is None or cache.hs is out
+        seen.append((out is not None, cache.hs.__array_interface__["data"][0]))
+        return cache
+
+    monkeypatch.setattr(module, attr, recording)
+    train(small_config(model=model, method="tp", iters=4))
+    assert [given for given, _ in seen] == [False, True, True, True]
+    assert len({address for _, address in seen}) == 1
+
+
+def write_idx_set(directory, n_train, n_test, rng) -> int:
+    """A random 28 x 28 IDX train/test pair in directory; returns the image bytes."""
+    total = 0
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
+        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">iiii", 0x803, n, 28, 28) + images.tobytes())
+        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">ii", 0x801, n) + labels.tobytes())
+        total += images.nbytes
+    return total
+
+
+@pytest.mark.parametrize("model", ["rnn", "gru"])
+def test_train_keeps_pixel_images_as_bytes(tmp_path, model):
+    # The image store is the files' uint8 pixels; only a batch is scaled to
+    # float64. A float32 store alone would be 4x the image bytes.
+    raw = write_idx_set(tmp_path, 3000, 250, np.random.default_rng(0))
+    cfg = small_config(task="pixels", k=1, data_dir=str(tmp_path), model=model, iters=2)
+    stack = (784 + 1) * cfg.hidden * cfg.batch * 8
+    peak = _traced_peak(lambda: train(cfg))
+    assert peak < 1.5 * raw + stack, (peak / raw, stack / raw)
