@@ -48,12 +48,11 @@ class Activation:
         return self._inverse(self.project(v, eps))
 
     def inv_deriv(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
-        return self._inv_deriv(self.project(v, eps))
+        """(a^{-1})'(proj(v)) = 1 / a'(u) at a(u) = proj(v), by the inverse
+        function theorem; ``deriv`` takes the output, so it reads proj(v)."""
+        return 1.0 / self.deriv(self.project(v, eps))
 
     def _inverse(self, v):
-        raise NotImplementedError
-
-    def _inv_deriv(self, v):
         raise NotImplementedError
 
     def __repr__(self):
@@ -77,9 +76,6 @@ class Tanh(Activation):
     def _inverse(self, v):
         return 0.5 * np.log((1.0 + v) / (1.0 - v))
 
-    def _inv_deriv(self, v):
-        return 1.0 / (1.0 - v * v)
-
 
 class Sigmoid(Activation):
     """Logistic function; inverse is the logit, clipped to [eps, 1-eps].
@@ -101,9 +97,6 @@ class Sigmoid(Activation):
 
     def _inverse(self, v):
         return np.log(v) - np.log1p(-v)
-
-    def _inv_deriv(self, v):
-        return 1.0 / (v * (1.0 - v))
 
 
 class ReLU(Activation):
@@ -129,9 +122,6 @@ class ReLU(Activation):
     def _inverse(self, v):
         return np.asarray(v, dtype=np.float64).copy()
 
-    def _inv_deriv(self, v):
-        return np.ones_like(np.asarray(v, dtype=np.float64))
-
 
 class Identity(Activation):
     name = "identity"
@@ -150,9 +140,6 @@ class Identity(Activation):
 
     def _inverse(self, v):
         return np.asarray(v, dtype=np.float64).copy()
-
-    def _inv_deriv(self, v):
-        return np.ones_like(np.asarray(v, dtype=np.float64))
 
 
 ACTIVATIONS: dict[str, Activation] = {

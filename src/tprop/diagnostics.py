@@ -106,16 +106,13 @@ def finite_diff_check(
     return FdReport(max_rel_err=max_rel, checked=len(coords), worst=worst)
 
 
-def _propagator_pair(params, V, cache, t, column, eps):
-    """The two operators the backward recursions apply at step t for one
-    sample: transposed layer Jacobian, and linearized inverse."""
+def _operator_pair(params, V, h, eps):
+    """The two operators the backward recursions apply at the attained
+    state h (p,) of one sample: the transposed layer Jacobian
+    W_hh^T diag(a'(u)) of backprop, and the linearized inverse V diag(S),
+    S = da^{-1}(proj(h))."""
     act = params.activation
-    h = cache.hs[t + 1][:, column]
-    s_fwd = act.deriv(h)
-    s_inv = act.inv_deriv(h, eps)
-    M_bp = params.W_hh.T * s_fwd[None, :]
-    M_tp = V * s_inv[None, :]
-    return M_bp, M_tp
+    return params.W_hh.T * act.deriv(h)[None, :], V * act.inv_deriv(h, eps)[None, :]
 
 
 def direction_gap(
@@ -135,14 +132,14 @@ def direction_gap(
     hyper = TpHyper(gamma_h=1.0, gamma_theta=0.0, r=r, epsilon=eps)
     d = targetprop.tp_direction(params, cache, y, hyper)
     measured = max(spectral_norm(grads[n] + d[n]) for n in THETA_H)
-    V = targetprop.precompute_V(params, r)
+    V = linalg.ridge_pinv(params.W_hh, r)
     tau, _, B = cache.xs.shape
     a_sup = b_sup = 0.0
     layer_gaps = []
     for t in range(tau):
         worst = 0.0
         for col in range(B):
-            M_bp, M_tp = _propagator_pair(params, V, cache, t, col, eps)
+            M_bp, M_tp = _operator_pair(params, V, cache.hs[t + 1][:, col], eps)
             worst = max(worst, spectral_norm(M_bp - M_tp))
             a_sup = max(a_sup, spectral_norm(M_bp))
             b_sup = max(b_sup, spectral_norm(M_tp))
@@ -176,10 +173,9 @@ def layer_jacobian_gap(
     lo, hi = act.projected_range(eps)
     if np.any(h <= lo) or np.any(h >= hi):
         raise Saturation("attained state reaches the projection clip")
-    V = linalg.ridge_pinv(params.W_hh, r)
+    M_bp, M_tp = _operator_pair(params, linalg.ridge_pinv(params.W_hh, r), h, eps)
+    measured = spectral_norm(M_bp - M_tp)
     s_fwd = act.deriv(h)
-    s_inv = act.inv_deriv(h, eps)
-    measured = spectral_norm(params.W_hh.T * s_fwd[None, :] - V * s_inv[None, :])
     p = params.p
     A = params.W_hh.T @ params.W_hh + r * np.eye(p)
     eye_gap = spectral_norm(np.eye(p) - np.linalg.solve(A, np.eye(p)))

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, rnn
 from .activations import ACTIVATIONS, sigmoid
-from .rnn import Direction, SOFTMAX_CE, OUTPUT_KINDS
+from .rnn import Direction, ForwardCache, SOFTMAX_CE, OUTPUT_KINDS
 from .targetprop import LINEARIZED, TpHyper
 
 
@@ -78,23 +78,6 @@ class GruParams:
 RECURRENT_TENSORS = (
     "W_im", "W_hm", "b_m", "W_iz", "W_hz", "b_z", "W_in", "b_in", "W_hn", "b_hn",
 )
-
-
-@dataclass
-class GruCache:
-    """One rollout: the states at the sweep's block edges (:func:`_edges`),
-    from which the backward passes re-run each block. hs is None when the
-    rollout kept no states."""
-
-    xs: np.ndarray              # (tau, d, B)
-    hs: np.ndarray | None       # (len(_edges(tau)), p, B); hs[-1] is h_tau
-    logits: np.ndarray  # (K, B)
-    y_hat: np.ndarray   # (K, B)
-    output_kind: str
-
-    @property
-    def tau(self) -> int:
-        return self.xs.shape[0]
 
 
 def init_gru_params(
@@ -161,7 +144,7 @@ def _roll(params: GruParams, x, h, block: _Block | None = None):
 
 
 def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
-                out: np.ndarray | None = None) -> GruCache:
+                out: np.ndarray | None = None) -> ForwardCache:
     """Roll the cell over x_seq (tau, d, B) from h_0 = 0, keeping the states
     at the block edges; ``states`` as in :func:`tprop.rnn.forward`, and
     without them the blocks are single steps. ``out``, a float64
@@ -177,13 +160,13 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
         if states:
             hs[j] = h
     logits, y_hat = rnn._head(params, h)
-    return GruCache(
+    return ForwardCache(
         xs=x_seq, hs=hs,
         logits=logits, y_hat=y_hat, output_kind=params.output_kind,
     )
 
 
-def _sweep(params: GruParams, cache: GruCache, signal: np.ndarray, propagate) -> Direction:
+def _sweep(params: GruParams, cache: ForwardCache, signal: np.ndarray, propagate) -> Direction:
     """One backward pass over the time axis, for BPTT and the TP rule.
 
     ``signal`` is the (p, B) sensitivity (or displacement) at h_tau. Each
@@ -245,7 +228,7 @@ def _transposed_jacobian(params: GruParams):
     return per_block
 
 
-def gru_bptt(params: GruParams, cache: GruCache, y) -> Direction:
+def gru_bptt(params: GruParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
     rnn._check_cache(params, cache, len(_edges(cache.tau)))
     return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params))
@@ -279,7 +262,7 @@ def _linearized_inverse(Vs, eps: float):
 
 def gru_tp_backward(
     params: GruParams,
-    cache: GruCache,
+    cache: ForwardCache,
     y,
     hyper: TpHyper,
     debug_true_jacobian: bool = False,

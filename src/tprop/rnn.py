@@ -68,15 +68,16 @@ class RnnParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward passes need from one rollout.
+    """Everything the backward passes need from one rollout of either cell.
 
-    hs stacks h_0 .. h_tau (so hs[0] is the zero initial state); a'(u_t) is
-    read from h_t. hs is None when the rollout kept no per-step states; such
-    a cache serves losses and predictions only.
+    hs holds the RNN's h_0 .. h_tau (hs[0] is the zero initial state, and
+    a'(u_t) is read from h_t), or the GRU's states at its sweep's block
+    edges (``gru._edges``); either way hs[-1] is h_tau. hs is None when the
+    rollout kept no states; such a cache serves losses and predictions only.
     """
 
     xs: np.ndarray           # (tau, d, B)
-    hs: np.ndarray | None    # (tau + 1, p, B)
+    hs: np.ndarray | None    # RNN (tau + 1, p, B); GRU (len(gru._edges(tau)), p, B)
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B); softmax probabilities, or the logits for mse
     output_kind: str
@@ -278,24 +279,28 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
            propagate) -> Direction:
     """One backward pass over the time axis, for BPTT and every TP rule.
 
-    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau.
-    ``propagate(t, lam, e)`` maps the one at h_{t+1} to the one at h_t, given
-    e_t = a'(u_t) * lam; it is called for t = tau-1 .. 1. A block of _BLOCK
-    steps' errors is contracted with its inputs and states, one product per
-    tensor, once the recursion has left it, so the rollout's states are the
-    one (tau, p, B) stack held. Returns the directions of W_xh, W_hh and b_h.
+    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau. For
+    each block of _BLOCK steps t = lo .. hi - 1, ``propagate(lo, hi, es)``
+    returns ``step(i, lam)``, which maps the sensitivity at h_{t+1} to the
+    one at h_t (t = lo + i > 0); es[i] is a'(u_t), overwritten by
+    e_t = a'(u_t) * lam before step(i, lam) is called. A block's errors are
+    contracted with its inputs and states, one product per tensor, once the
+    recursion has left it, so the rollout's states are the one (tau, p, B)
+    stack held. Returns the directions of W_xh, W_hh and b_h.
     """
     d = {k: np.zeros_like(getattr(params, k)) for k in ("W_xh", "W_hh", "b_h")}
     lam = signal
     for hi in range(cache.tau, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
         es = params.activation.deriv(cache.hs[lo + 1:hi + 1])  # a'(u_t), overwritten by e_t below
-        for t in range(hi - 1, lo - 1, -1):
-            e = np.multiply(es[t - lo], lam, out=es[t - lo])
-            if t > 0:
-                lam = propagate(t, lam, e)
+        step = propagate(lo, hi, es)
+        for i in range(hi - lo - 1, -1, -1):
+            np.multiply(es[i], lam, out=es[i])
+            if lo + i > 0:
+                lam = step(i, lam)
+        step = None  # free the block's factors before its errors are flattened
         E = _flat(es)
-        es = e = None  # E holds the errors now; free the block before the states are flattened
+        es = None  # E holds the errors now; free the block before the states are flattened
         d["W_xh"] += E @ _flat(cache.xs[lo:hi]).T
         d["W_hh"] += E @ _flat(cache.hs[lo:hi]).T
         d["b_h"] += E.sum(axis=1)
@@ -305,7 +310,7 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
 def _transposed_jacobian(params: RnnParams):
     """BPTT's propagator: lam_t = W_hh^T e_t."""
     W_T = params.W_hh.T
-    return lambda t, lam, e: W_T @ e
+    return lambda lo, hi, es: lambda i, lam: W_T @ es[i]
 
 
 def _backward(params, cache, y, sweep, propagate, gamma_h: float | None = None) -> Direction:

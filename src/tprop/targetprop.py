@@ -32,6 +32,16 @@ EXACT_INVERSE = "exact_inverse"
 VARIANTS = (LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE)
 
 
+def check_hyper(gamma_h: float, epsilon: float) -> None:
+    """Raise ValueError unless gamma_h is finite and nonnegative and the
+    clip margin epsilon lies in (0, 0.5), where every activation's
+    projected range is a nonempty interval inside its image."""
+    if not 0 <= gamma_h < np.inf:
+        raise ValueError(f"target stepsize gamma_h must be finite and >= 0, got {gamma_h}")
+    if not 0 < epsilon < 0.5:
+        raise ValueError(f"projection clip margin epsilon must lie in (0, 0.5), got {epsilon}")
+
+
 @dataclass
 class TpHyper:
     """Hyperparameters of the target-propagation backward pass.
@@ -50,11 +60,7 @@ class TpHyper:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-
-
-def precompute_V(params: rnn.RnnParams, r: float) -> np.ndarray:
-    """Ridge pseudo-inverse of the recurrent matrix; one factorization."""
-    return linalg.ridge_pinv(params.W_hh, r)
+        check_hyper(self.gamma_h, self.epsilon)
 
 
 def inverse_apply(
@@ -75,26 +81,29 @@ def inverse_apply(
 
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
-    """The displacement step lam_{t+1} -> lam_t of one variant, as
-    ``propagate(t, lam, e)`` for :func:`rnn._sweep`. Its pointwise factors
-    are computed at each step, so it holds no whole-axis stack."""
+    """The displacement step lam_{t+1} -> lam_t of one variant, as the
+    per-block factory ``propagate(lo, hi, es) -> step(i, lam)`` of
+    :func:`rnn._sweep` (t = lo + i). Each rule forms its factors for the
+    block's steps at once, so they are block-sized and live with the block."""
+    hs, xs = cache.hs, cache.xs
     if variant == LINEARIZED:
         # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
         # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop
-        inv_deriv = params.activation.inv_deriv
-        return lambda t, lam, e: V @ (inv_deriv(cache.hs[t + 1], eps) * lam)
+        def linearized(lo, hi, es):
+            S = params.activation.inv_deriv(hs[lo + 1:hi + 1], eps)
+            return lambda i, lam: V @ (S[i] * lam)
+        return linearized
 
-    def inverse_at(t, v):
-        return inverse_apply(params, V, cache.xs[t], v, eps)
-
-    if variant == FINITE_DIFFERENCE:
-        # v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), so the displacement is
-        # the difference of the two inverse applications.
-        return lambda t, lam, e: (
-            inverse_at(t, cache.hs[t + 1] + lam) - inverse_at(t, cache.hs[t + 1])
-        )
-    # EXACT_INVERSE: v_{t-1} = f^{-1}(v_t) without the correction term.
-    return lambda t, lam, e: inverse_at(t, cache.hs[t + 1] + lam) - cache.hs[t]
+    # The displacement at h_{t-1} is f^{-1}(v_t) less a reference point: h_{t-1}
+    # for the exact inverse (v_{t-1} = f^{-1}(v_t)), f^{-1}(h_t) for finite
+    # differences (v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), which
+    # corrects the inverse's reconstruction error).
+    def inverse_difference(lo, hi, es):
+        ref = (inverse_apply(params, V, xs[lo:hi], hs[lo + 1:hi + 1], eps)
+               if variant == FINITE_DIFFERENCE else hs[lo:hi])
+        return lambda i, lam: (
+            inverse_apply(params, V, xs[lo + i], hs[lo + i + 1] + lam, eps) - ref[i])
+    return inverse_difference
 
 
 def tp_direction(
@@ -121,7 +130,7 @@ def tp_direction(
     backprop gradient for the recurrent tensors; useful as a wiring check.
     """
     rnn._check_cache(params, cache, cache.tau + 1)
-    V = precompute_V(params, hyper.r)
+    V = linalg.ridge_pinv(params.W_hh, hyper.r)
     if debug_true_jacobian:
         propagate = rnn._transposed_jacobian(params)
     else:

@@ -10,6 +10,7 @@ and accuracies (wall times are measured, so they vary).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -87,12 +88,14 @@ class ExperimentConfig:
             raise ConfigError("k must be at least 1 pixel per step")
         if not 0 <= self.r < np.inf:
             raise ConfigError("ridge coefficient must be finite and nonnegative")
-        if not all(0 <= g < np.inf for g in (self.gamma, self.gamma_h, self.gamma_theta)):
-            raise ConfigError("stepsizes gamma, gamma_h, gamma_theta must be finite and >= 0")
+        if not all(0 <= g < np.inf for g in (self.gamma, self.gamma_theta)):
+            raise ConfigError("stepsizes gamma and gamma_theta must be finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
-        if not 0 < self.epsilon < 0.5:
-            raise ConfigError("projection clip margin epsilon must lie in (0, 0.5)")
+        try:
+            targetprop.check_hyper(self.gamma_h, self.epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         from .activations import ACTIVATIONS
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -254,7 +257,7 @@ class _PixelTask:
                 raise ConfigError(f"missing dataset file {path}")
             return path
         self.train = tasks.load_idx(p("train-images-idx3-ubyte"), p("train-labels-idx1-ubyte"))
-        self.test = tasks.load_idx(p("t10k-images-idx3-ubyte"), p("t10k-labels-idx1-ubyte"))
+        self._test_paths = (p("t10k-images-idx3-ubyte"), p("t10k-labels-idx1-ubyte"))
         self.name = "pixels"
         self.k = cfg.k
         self.batch = cfg.batch
@@ -270,6 +273,11 @@ class _PixelTask:
         self.n_out = int(self.train.labels.max()) + 1
         self.output_kind = rnn.SOFTMAX_CE
         self._epoch = None
+
+    @functools.cached_property
+    def test(self) -> tasks.ImageDataset:
+        """The t10k split, read on first use: a run that never evaluates never holds it."""
+        return tasks.load_idx(*self._test_paths)
 
     def sample(self, rng) -> tasks.Batch:
         if self._epoch is None:

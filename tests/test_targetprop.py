@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from tprop.activations import ACTIVATIONS
-from tprop.linalg import factorization_count
+from tprop.linalg import factorization_count, ridge_pinv
 from tprop.rnn import (
     _BLOCK,
     MSE,
@@ -20,7 +20,6 @@ from tprop.targetprop import (
     LINEARIZED,
     TpHyper,
     inverse_apply,
-    precompute_V,
     tp_direction,
 )
 
@@ -49,19 +48,19 @@ def inverse_jacobian_T_apply(params, V, h_t, lam, eps=1e-3):
 
 def test_precompute_v_orthogonal_r0_is_transpose():
     params = init_params(6, 2, 2, seed=0)
-    V = precompute_V(params, 0.0)
+    V = ridge_pinv(params.W_hh, 0.0)
     npt.assert_allclose(V, params.W_hh.T, atol=1e-9)
 
 
 def test_precompute_v_scalar():
     params = init_params(1, 1, 1, seed=0)
     params.W_hh[...] = [[2.0]]
-    npt.assert_allclose(precompute_V(params, 4.0), [[0.25]], atol=1e-14)
+    npt.assert_allclose(ridge_pinv(params.W_hh, 4.0), [[0.25]], atol=1e-14)
 
 
 def test_precompute_v_against_dense_solve():
     params = init_params(100, 6, 4, seed=3)
-    V = precompute_V(params, 1.0)
+    V = ridge_pinv(params.W_hh, 1.0)
     A = params.W_hh.T @ params.W_hh + np.eye(100)
     V_oracle = np.linalg.solve(A, params.W_hh.T)
     npt.assert_allclose(V, V_oracle, atol=1e-10)
@@ -77,7 +76,7 @@ def test_inverse_apply_identity_layer_is_identity():
         activation=ACTIVATIONS["identity"],
         output_kind=MSE,
     )
-    V = precompute_V(params, 0.0)
+    V = ridge_pinv(params.W_hh, 0.0)
     v = np.array([[0.3], [-1.7], [4.0]])
     x = np.zeros((2, 1))
     npt.assert_allclose(inverse_apply(params, V, x, v), v, atol=1e-12)
@@ -85,7 +84,7 @@ def test_inverse_apply_identity_layer_is_identity():
 
 def test_inverse_apply_round_trip(rng):
     params = init_params(5, 3, 2, activation="tanh", seed=7)
-    V = precompute_V(params, 0.0)
+    V = ridge_pinv(params.W_hh, 0.0)
     h = 0.4 * rng.uniform(-1.0, 1.0, size=(5, 4))
     x = 0.3 * rng.standard_normal((3, 4))
     v = np.tanh(params.W_xh @ x + params.W_hh @ h + params.b_h[:, None])
@@ -94,7 +93,7 @@ def test_inverse_apply_round_trip(rng):
 
 def test_inverse_apply_projects_out_of_range_targets(rng):
     params = init_params(4, 2, 2, activation="tanh", seed=1)
-    V = precompute_V(params, 0.5)
+    V = ridge_pinv(params.W_hh, 0.5)
     x = rng.standard_normal((2, 3))
     v_wild = np.array([[1.4, -2.0, 0.2], [0.9, 3.0, -0.4], [0.1, 0.2, 0.3], [-5.0, 0.0, 0.99]])
     v_proj = np.clip(v_wild, -1 + 1e-3, 1 - 1e-3)
@@ -107,7 +106,7 @@ def test_inverse_jacobian_apply_linear_orthogonal_regime(rng):
     # identity activation, orthogonal W_hh, r=0: the operator reduces to W_hh^T,
     # which is the transposed one-step state Jacobian in this regime
     params = linear_orthogonal_params(6, 2, 2, seed=4)
-    V = precompute_V(params, 0.0)
+    V = ridge_pinv(params.W_hh, 0.0)
     lam = rng.standard_normal((6, 3))
     out = inverse_jacobian_T_apply(params, V, rng.standard_normal((6, 3)), lam)
     npt.assert_allclose(out, params.W_hh.T @ lam, atol=1e-9)
@@ -115,7 +114,7 @@ def test_inverse_jacobian_apply_linear_orthogonal_regime(rng):
 
 def test_inverse_jacobian_apply_zero_displacement(rng):
     params = init_params(5, 2, 2, seed=2)
-    V = precompute_V(params, 1.0)
+    V = ridge_pinv(params.W_hh, 1.0)
     h = 0.5 * rng.uniform(-1, 1, size=(5, 2))
     out = inverse_jacobian_T_apply(params, V, h, np.zeros((5, 2)))
     npt.assert_allclose(out, 0.0, atol=0)
@@ -123,7 +122,7 @@ def test_inverse_jacobian_apply_zero_displacement(rng):
 
 def test_inverse_jacobian_apply_matches_directional_fd(rng):
     params = init_params(5, 3, 2, activation="tanh", seed=9)
-    V = precompute_V(params, 0.7)
+    V = ridge_pinv(params.W_hh, 0.7)
     h = 0.5 * rng.uniform(-1, 1, size=(5, 1))
     x = 0.3 * rng.standard_normal((3, 1))
     lam = rng.standard_normal((5, 1))
@@ -163,7 +162,7 @@ def test_sweep_matches_per_step_reference(rng, rule):
         cache = forward(params, 0.5 * rng.standard_normal((tau, 3, 5)))
         y = rng.integers(0, 4, size=5)
         hy = hyper(variant=LINEARIZED if rule in ("bp", "debug") else rule)
-        V = precompute_V(params, hy.r)
+        V = ridge_pinv(params.W_hh, hy.r)
         eps = hy.epsilon
         g_tau = params.W_hy.T @ output_delta(y, cache)
 
@@ -334,3 +333,16 @@ def test_exact_inverse_equals_linearized_for_identity_unit_recurrence(rng):
 def test_tphyper_rejects_unknown_variant():
     with pytest.raises(ValueError):
         TpHyper(gamma_h=1e-2, gamma_theta=0.1, r=1.0, epsilon=1e-3, variant="newton")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", 0.5), ("epsilon", 0.7),
+    ("epsilon", float("nan")), ("gamma_h", -1e-3), ("gamma_h", float("nan")),
+    ("gamma_h", float("inf")),
+])
+def test_tphyper_rejects_bad_margin_and_target_stepsize(field, value):
+    # Outside these ranges every rule returns non-finite directions (and
+    # relu's inverse derivative at eps = 0 is 1 / 0), so the hyperparameters
+    # are refused when they are built.
+    with pytest.raises(ValueError, match=field):
+        hyper(**{field: value})

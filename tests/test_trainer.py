@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import os
 import struct
 import tracemalloc
 
@@ -6,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import gru, rnn, targetprop
+from tprop import gru, rnn, targetprop, tasks
 from tprop.targetprop import TpHyper, tp_direction
 from tprop.tasks import gen_temporal_order
 from tprop.trainer import (
@@ -435,3 +437,25 @@ def test_train_keeps_pixel_images_as_bytes(tmp_path, model):
     stack = (784 + 1) * cfg.hidden * cfg.batch * 8
     peak = _traced_peak(lambda: train(cfg))
     assert peak < 1.5 * raw + stack, (peak / raw, stack / raw)
+
+
+def test_pixel_test_split_is_read_on_first_evaluation(tmp_path, monkeypatch):
+    # A run that never evaluates never reads the t10k split; one that does
+    # reads it once, whatever the number of evaluations. The split must
+    # still exist when the task is built.
+    write_idx_set(tmp_path, 40, 30, np.random.default_rng(1))
+    load_idx, reads = tasks.load_idx, []
+
+    def recording(images, labels):
+        reads.append(os.path.basename(images).split("-")[0])
+        return load_idx(images, labels)
+
+    monkeypatch.setattr(tasks, "load_idx", recording)
+    cfg = small_config(task="pixels", k=28, data_dir=str(tmp_path), method="bp", iters=4)
+    assert train(cfg).log.eval_iters == [] and reads == ["train"]
+    reads.clear()
+    assert train(dataclasses.replace(cfg, eval_every=2)).log.eval_iters == [1, 3]
+    assert reads == ["train", "t10k"]
+    (tmp_path / "t10k-labels-idx1-ubyte").unlink()
+    with pytest.raises(ConfigError, match="t10k-labels"):
+        build_task(cfg)
