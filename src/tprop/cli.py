@@ -6,6 +6,11 @@ sweep into a CSV and an SVG heatmap), check (named diagnostic suites as a
 pass/fail CSV table), bench (per-iteration timing of the two backward
 passes of the RNN or the GRU), plot (metrics CSVs into a self-contained SVG).
 
+train and grid take one flag per ExperimentConfig field (``--gamma-h`` for
+``gamma_h``), built from the fields themselves: a setting is declared once,
+in trainer, and flags override a --config file, which overrides the
+defaults.
+
 Exit codes: 0 success, 1 usage or config error, 2 training diverged.
 Plots are hand-written SVG, so runs have no plotting dependency and the
 artifacts diff cleanly.
@@ -348,35 +353,17 @@ def cmd_plot(args) -> int:
 
 
 def _add_config_flags(p: _Parser) -> None:
-    """Flags mirroring ExperimentConfig; None means `not given`, so a
-    --config file and the defaults shine through."""
+    """One flag per ExperimentConfig field, named ``--`` plus the field name
+    with ``_`` as ``-``, with the field's help line and choices. Each
+    defaults to None, `not given`, so a --config file and the field
+    defaults shine through."""
     p.add_argument("--config", help="key = value config file to start from")
-    p.add_argument("--task", choices=trainer.TASKS)
-    p.add_argument("--T", type=int, help="synthetic sequence length")
-    p.add_argument("--k", type=int, help="pixels per step for the pixels task")
-    p.add_argument("--permute", action=argparse.BooleanOptionalAction,
-                   help="permute pixels before chunking")
-    p.add_argument("--perm-seed", type=int, dest="perm_seed")
-    p.add_argument("--data-dir", dest="data_dir",
-                   help=f"IDX dataset directory (default ${trainer.DATA_DIR_ENV})")
-    p.add_argument("--model", choices=("rnn", "gru"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--activation")
-    p.add_argument("--method", choices=trainer.METHODS)
-    p.add_argument("--gamma", type=float, help="bp stepsize")
-    p.add_argument("--gamma-h", type=float, dest="gamma_h", help="target stepsize")
-    p.add_argument("--gamma-theta", type=float, dest="gamma_theta",
-                   help="tp parameter stepsize")
-    p.add_argument("--r", type=float, help="inversion ridge coefficient")
-    p.add_argument("--epsilon", type=float, help="projection clip margin")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--tp-momentum", action=argparse.BooleanOptionalAction,
-                   dest="tp_momentum")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eval-every", type=int, dest="eval_every")
-    p.add_argument("--stop-at-acc", type=float, dest="stop_at_acc")
-    p.add_argument("--seed", type=int)
+    for fld in dataclasses.fields(trainer.ExperimentConfig):
+        if fld.type == "bool":
+            kw = dict(action=argparse.BooleanOptionalAction)
+        else:
+            kw = dict(type=trainer.PARSERS[fld.type], choices=fld.metadata["choices"])
+        p.add_argument("--" + fld.name.replace("_", "-"), help=fld.metadata["help"], **kw)
 
 
 def build_parser() -> _Parser:

@@ -104,13 +104,6 @@ def init_gru_params(
     )
 
 
-def _edges(tau: int) -> list[int]:
-    """The block edges 0, tau - kC, ..., tau - C, tau (C = ``rnn._BLOCK``,
-    k as large as leaves tau - kC > 0): the backward sweep's blocks, the
-    partial one first in time."""
-    return [0, *range(tau % rnn._BLOCK or rnn._BLOCK, tau + 1, rnn._BLOCK)]
-
-
 class _Block(NamedTuple):
     """One block of steps t = lo .. hi - 1, as the backward re-runs it;
     i = t - lo indexes the steps."""
@@ -148,11 +141,11 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
     """Roll the cell over x_seq (tau, d, B) from h_0 = 0, keeping the states
     at the block edges; ``states`` as in :func:`tprop.rnn.forward`, and
     without them the blocks are single steps. ``out``, a float64
-    (len(_edges(tau)), p, B) array, receives the edge states as in
+    (len(rnn._edges(tau)), p, B) array, receives the edge states as in
     :func:`tprop.rnn.forward`."""
     x_seq = rnn._check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
-    edges = _edges(tau) if states else range(tau + 1)
+    edges = rnn._edges(tau) if states else range(tau + 1)
     hs = rnn._state_stack(out, (len(edges), params.p, B), states)
     h = np.zeros((params.p, B))
     for j in range(1, len(edges)):
@@ -184,7 +177,7 @@ def _sweep(params: GruParams, cache: ForwardCache, signal: np.ndarray, propagate
                  np.empty((4, p, C, B)))
     d = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     dh = signal
-    edges = _edges(cache.tau)
+    edges = rnn._edges(cache.tau)
     for j in range(len(edges) - 1, 0, -1):
         lo, hi = edges[j - 1], edges[j]
         b = _Block(buf.h[:hi - lo + 1], *(a[:hi - lo] for a in buf[1:-1]),
@@ -230,7 +223,7 @@ def _transposed_jacobian(params: GruParams):
 
 def gru_bptt(params: GruParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
-    rnn._check_cache(params, cache, len(_edges(cache.tau)))
+    rnn._check_cache(params, cache, len(rnn._edges(cache.tau)))
     return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params))
 
 
@@ -281,7 +274,7 @@ def gru_tp_backward(
     """
     if hyper.variant != LINEARIZED:
         raise ValueError(f"the GRU has only the {LINEARIZED!r} TP rule, not {hyper.variant!r}")
-    rnn._check_cache(params, cache, len(_edges(cache.tau)))
+    rnn._check_cache(params, cache, len(rnn._edges(cache.tau)))
     Vs = [linalg.ridge_pinv(W, hyper.r) for W in (params.W_hm, params.W_hz, params.W_hn)]
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params)

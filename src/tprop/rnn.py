@@ -71,13 +71,13 @@ class ForwardCache:
     """Everything the backward passes need from one rollout of either cell.
 
     hs holds the RNN's h_0 .. h_tau (hs[0] is the zero initial state, and
-    a'(u_t) is read from h_t), or the GRU's states at its sweep's block
-    edges (``gru._edges``); either way hs[-1] is h_tau. hs is None when the
+    a'(u_t) is read from h_t), or the GRU's states at the block edges
+    ``_edges(tau)``; either way hs[-1] is h_tau. hs is None when the
     rollout kept no states; such a cache serves losses and predictions only.
     """
 
     xs: np.ndarray           # (tau, d, B)
-    hs: np.ndarray | None    # RNN (tau + 1, p, B); GRU (len(gru._edges(tau)), p, B)
+    hs: np.ndarray | None    # RNN (tau + 1, p, B); GRU (len(_edges(tau)), p, B)
     logits: np.ndarray  # (K, B)
     y_hat: np.ndarray   # (K, B); softmax probabilities, or the logits for mse
     output_kind: str
@@ -140,6 +140,13 @@ def _check_inputs(params, x_seq) -> np.ndarray:
 _BLOCK = 8
 
 
+def _edges(tau: int) -> list[int]:
+    """The block edges 0, tau - kC, ..., tau - C, tau (C = _BLOCK, k as
+    large as leaves tau - kC > 0): the blocks of both cells' rollouts and
+    backward sweeps, the partial one first in time."""
+    return [0, *range(tau % _BLOCK or _BLOCK, tau + 1, _BLOCK)]
+
+
 def _project(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The input projection W x of one step's inputs x (d, B) or a block's
     (C, d, B), into ``out`` when given. At d = 1 (pixel sequences) it is
@@ -177,31 +184,28 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True,
 
     With ``states`` False only the running state is kept, so memory is
     O(p B) in tau; the logits and y_hat are the same bits either way, but
-    the cache cannot feed a backward pass. A rollout that keeps its states
-    projects the inputs W_xh x_t of _BLOCK steps in one stacked product
-    into the state slots they precede, added in the per-step order
-    (W_xh x_t + W_hh h) + b_h; without states it projects one step at a
-    time, so neither holds a block of projections of its own. ``out``, a
+    the cache cannot feed a backward pass. The rollout projects the inputs
+    W_xh x_t of each block of ``_edges(tau)`` in one stacked product into
+    the state slots they precede, added in the per-step order
+    (W_xh x_t + W_hh h) + b_h; without states the blocks are single steps,
+    so neither holds a block of projections of its own. ``out``, a
     float64 (tau + 1, p, B) array, receives the states in place of a new
     stack (a training loop passes the previous batch's) and becomes
     ``cache.hs``.
     """
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
-    p = params.p
-    hs = _state_stack(out, (tau + 1, p, B), states)
+    hs = _state_stack(out, (tau + 1, params.p, B), states)
     act = params.activation
     b_h = params.b_h[:, None]
-    h = np.zeros((p, B))
-    if states:
-        for lo in range(0, tau, _BLOCK):
-            hi = min(lo + _BLOCK, tau)
-            _project(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1])  # W_xh x_t, then h_t
-            for t in range(lo + 1, hi + 1):
-                hs[t] = h = act.apply(hs[t] + params.W_hh @ h + b_h)
-    else:
-        for x in x_seq:
-            h = act.apply(_project(params.W_xh, x) + params.W_hh @ h + b_h)
+    edges = _edges(tau) if states else range(tau + 1)
+    h = np.zeros((params.p, B))
+    for lo, hi in zip(edges, edges[1:]):
+        xw = _project(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1] if states else None)
+        for i in range(hi - lo):
+            h = act.apply(xw[i] + params.W_hh @ h + b_h)
+            if states:
+                hs[lo + 1 + i] = h
     logits, y_hat = _head(params, h)
     return ForwardCache(
         xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,
@@ -280,7 +284,7 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
     """One backward pass over the time axis, for BPTT and every TP rule.
 
     ``signal`` is the (p, B) sensitivity (or displacement) at h_tau. For
-    each block of _BLOCK steps t = lo .. hi - 1, ``propagate(lo, hi, es)``
+    each block t = lo .. hi - 1 of ``_edges(tau)``, ``propagate(lo, hi, es)``
     returns ``step(i, lam)``, which maps the sensitivity at h_{t+1} to the
     one at h_t (t = lo + i > 0); es[i] is a'(u_t), overwritten by
     e_t = a'(u_t) * lam before step(i, lam) is called. A block's errors are
@@ -290,8 +294,8 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
     """
     d = {k: np.zeros_like(getattr(params, k)) for k in ("W_xh", "W_hh", "b_h")}
     lam = signal
-    for hi in range(cache.tau, 0, -_BLOCK):
-        lo = max(hi - _BLOCK, 0)
+    edges = _edges(cache.tau)
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
         es = params.activation.deriv(cache.hs[lo + 1:hi + 1])  # a'(u_t), overwritten by e_t below
         step = propagate(lo, hi, es)
         for i in range(hi - lo - 1, -1, -1):

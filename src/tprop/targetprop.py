@@ -46,9 +46,11 @@ def check_hyper(gamma_h: float, epsilon: float) -> None:
 class TpHyper:
     """Hyperparameters of the target-propagation backward pass.
 
-    gamma_h scales the initial displacement at the last step, gamma_theta is
-    the parameter stepsize applied by the training loop, r the ridge
+    gamma_h scales the initial displacement at the last step, r is the ridge
     coefficient of the inverses, epsilon the clip margin of the projection.
+    No backward pass reads gamma_theta: the training loop steps with
+    ExperimentConfig.gamma_theta. The field stays because callers such as
+    perfbench/gate.py pass it.
     """
 
     gamma_h: float = 1e-2

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gru as gru_mod
 from . import rnn, targetprop, tasks
+from .activations import ACTIVATIONS
 from .linalg import SingularSystem
 
 BP = "bp"
@@ -46,42 +47,63 @@ class ParseError(ValueError):
     """A metrics or config file could not be parsed."""
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
+
+
+# How the text of a setting becomes its value, by the field's type name:
+# config files and the command line read settings through the same table.
+PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
+def _setting(default, help: str, choices: tuple | None = None):
+    """One run setting: its default, the help line of its flag, and the
+    values :meth:`ExperimentConfig.validate` accepts (any, when None)."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    task: str = tasks.TEMPORAL_ORDER
-    T: int = 60                 # synthetic sequence length
-    k: int = 1                  # pixels per step for image tasks
-    permute: bool = False       # permute pixels before chunking
-    perm_seed: int = 12345
-    data_dir: str = ""          # IDX directory; falls back to $TPROP_DATA_DIR
-    model: str = "rnn"          # rnn | gru
-    hidden: int = 100
-    activation: str = "tanh"
-    method: str = TP
-    gamma: float = 1e-3         # bp stepsize
-    gamma_h: float = 1e-2       # tp target stepsize
-    gamma_theta: float = 1e-1   # tp parameter stepsize
-    r: float = 1.0              # ridge coefficient of the inverses
-    epsilon: float = 1e-3       # projection clip margin
-    momentum: float = 0.9       # bp momentum (Nesterov); 0 disables
-    tp_momentum: bool = False   # opt-in momentum on tp directions
-    batch: int = 20
-    iters: int = 10000
-    eval_every: int = 1000      # held-out eval cadence for image tasks
-    stop_at_acc: float = 0.0    # stop once running accuracy reaches this; 0 never
-    seed: int = 0
+    """Every setting of one run. Each field is also a ``tprop train`` and
+    ``tprop grid`` flag (``--`` and its name with ``_`` as ``-``) and a
+    ``name = value`` config line, parsed by its type's entry in PARSERS."""
+
+    task: str = _setting(tasks.TEMPORAL_ORDER, "training task", TASKS)
+    T: int = _setting(60, "synthetic sequence length")
+    k: int = _setting(1, "pixels per step for the pixels task")
+    permute: bool = _setting(False, "permute pixels before chunking")
+    perm_seed: int = _setting(12345, "seed of the pixel permutation")
+    data_dir: str = _setting("", f"IDX dataset directory (default ${DATA_DIR_ENV})")
+    model: str = _setting("rnn", "recurrent cell", ("rnn", "gru"))
+    hidden: int = _setting(100, "hidden units")
+    activation: str = _setting("tanh", "activation of the rnn cell", tuple(ACTIVATIONS))
+    method: str = _setting(TP, "training method", METHODS)
+    gamma: float = _setting(1e-3, "bp stepsize")
+    gamma_h: float = _setting(1e-2, "tp target stepsize")
+    gamma_theta: float = _setting(1e-1, "tp parameter stepsize")
+    r: float = _setting(1.0, "ridge coefficient of the inverses")
+    epsilon: float = _setting(1e-3, "projection clip margin")
+    momentum: float = _setting(0.9, "bp Nesterov momentum; 0 disables")
+    tp_momentum: bool = _setting(False, "apply the momentum to tp directions too")
+    batch: int = _setting(20, "sequences per batch")
+    iters: int = _setting(10000, "training iterations")
+    eval_every: int = _setting(1000, "held-out eval cadence for the pixels task; 0 never")
+    stop_at_acc: float = _setting(0.0, "stop once running accuracy reaches this; 0 never")
+    seed: int = _setting(0, "seed of the init, data and eval streams")
 
     def validate(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.model not in ("rnn", "gru"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        for fld in dataclasses.fields(self):
+            value = getattr(self, fld.name)
+            if fld.metadata["choices"] and value not in fld.metadata["choices"]:
+                raise ConfigError(f"unknown {fld.name} {value!r}")
         if self.model == "gru" and self.method != BP and self.method != TP:
             raise ConfigError("gru supports methods bp and tp only")
         if self.hidden < 1 or self.batch < 1 or self.iters < 1:
             raise ConfigError("hidden, batch and iters must be positive")
+        if self.seed < 0 or self.perm_seed < 0 or self.eval_every < 0:
+            raise ConfigError("seed, perm_seed and eval_every must be >= 0")
         if self.task != "pixels" and self.T < 10:
             raise ConfigError("synthetic tasks need T >= 10")
         if self.k < 1:
@@ -92,13 +114,12 @@ class ExperimentConfig:
             raise ConfigError("stepsizes gamma and gamma_theta must be finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
+        if not 0 <= self.stop_at_acc <= 1:
+            raise ConfigError("stop_at_acc must lie in [0, 1]")
         try:
             targetprop.check_hyper(self.gamma_h, self.epsilon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        from .activations import ACTIVATIONS
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -113,9 +134,10 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a key = value config file written by :func:`save_config`."""
+    """Parse a key = value config file written by :func:`save_config`; a
+    key may appear once."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    values = {}
+    values, line_of = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -127,18 +149,11 @@ def load_config(path) -> ExperimentConfig:
             key, raw = key.strip(), raw.strip()
             if key not in fields:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
+            if key in line_of:
+                raise ParseError(f"{path}:{lineno}: {key} already set on line {line_of[key]}")
+            line_of[key] = lineno
             try:
-                if ftype == "bool":
-                    if raw not in ("true", "false"):
-                        raise ValueError(raw)
-                    values[key] = raw == "true"
-                elif ftype == "int":
-                    values[key] = int(raw)
-                elif ftype == "float":
-                    values[key] = float(raw)
-                else:
-                    values[key] = raw
+                values[key] = PARSERS[fields[key].type](raw)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
     return ExperimentConfig(**values)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import xml.etree.ElementTree as ET
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from tprop import tasks, trainer
-from tprop.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main, write_heatmap_svg
+from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser,
+                       main, write_heatmap_svg)
 
 
 def write_tiny_idx(root, n=8, h=4, w=4, n_classes=4, seed=0):
@@ -91,10 +93,55 @@ def test_train_rejects_bad_config_value(tmp_path, capsys):
                 ["--r", "inf", "--iters", "3"],
                 ["--gamma-theta", "inf", "--iters", "3"],
                 ["--gamma-h", "inf", "--iters", "3"],
-                ["--method", "bp", "--gamma", "inf", "--iters", "3"]):
+                ["--method", "bp", "--gamma", "inf", "--iters", "3"],
+                ["--seed", "-1"],
+                ["--perm-seed", "-1"],
+                ["--eval-every", "-5"],
+                ["--stop-at-acc", "nan"],
+                ["--stop-at-acc", "1.5"],
+                ["--stop-at-acc", "-0.1"]):
         argv = ["train", *bad, "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+
+def _other_value(fld):
+    """A valid value of one ExperimentConfig setting other than its default."""
+    if fld.metadata["choices"]:
+        return next(c for c in fld.metadata["choices"] if c != fld.default)
+    if fld.type == "bool":
+        return not fld.default
+    if fld.type == "str":
+        return fld.default + "elsewhere"
+    if fld.type == "int":
+        return fld.default + 1
+    return fld.default / 2 or 0.5
+
+
+@pytest.mark.parametrize("fld", dataclasses.fields(trainer.ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_every_setting_reads_the_same_as_flag_config_line_and_field(fld, tmp_path):
+    value = _other_value(fld)
+    flag = "--" + fld.name.replace("_", "-")
+    if fld.type == "bool":
+        argv = [flag if value else "--no-" + flag[2:]]
+        text = "true" if value else "false"
+    else:
+        text = repr(value) if fld.type == "float" else str(value)
+        argv = [flag, text]
+    direct = trainer.ExperimentConfig(**{fld.name: value})
+    assert direct != trainer.ExperimentConfig()
+    for command in (["train"], ["grid", "--gamma-theta-grid", "1", "--r-grid", "1"]):
+        assert _config_from_args(build_parser().parse_args([*command, *argv])) == direct
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{fld.name} = {text}\n")
+    assert trainer.load_config(str(path)) == direct
+
+
+def test_train_rejects_a_value_outside_the_choices():
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--activation", "softsign"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_train_pixels_missing_dataset(tmp_path, capsys, monkeypatch):

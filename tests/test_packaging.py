@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,15 @@ def test_python_dash_m_runs_the_cli():
                          env=_env_with_src(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "--suite" in out.stdout
+
+
+def test_train_help_lists_every_setting():
+    out = subprocess.run([sys.executable, "-m", "tprop", "train", "--help"],
+                         env=_env_with_src(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    flags = set(re.findall(r"--[\w-]+", out.stdout))
+    for fld in dataclasses.fields(tprop.trainer.ExperimentConfig):
+        flag = "--" + fld.name.replace("_", "-")
+        assert flag in flags, flag
+        if fld.type == "bool":
+            assert "--no-" + flag[2:] in flags, flag

@@ -141,6 +141,31 @@ def test_one_tp_iteration_applies_direction_exactly():
         assert tensor.tobytes() == want.tobytes(), name
 
 
+def test_tp_momentum_steps_nesterov_on_negated_tp_direction():
+    cfg = small_config(iters=2, tp_momentum=True)
+    init = fresh_model(cfg)
+    _, s_data, _ = np.random.SeedSequence(cfg.seed).spawn(3)
+    task, rng = build_task(cfg), np.random.default_rng(s_data)
+    hyper = TpHyper(gamma_h=cfg.gamma_h, gamma_theta=cfg.gamma_theta, r=cfg.r,
+                    epsilon=cfg.epsilon)
+    want = copy.deepcopy(init)
+    theta = want.tensors()
+    velocity = {k: np.zeros_like(v) for k, v in theta.items()}
+    for _ in range(cfg.iters):
+        batch = task.sample(rng)
+        d = tp_direction(want, rnn.forward(want, batch.inputs), batch.labels, hyper)
+        nesterov_step(theta, velocity, {k: -v for k, v in d.items()},
+                      cfg.gamma_theta, cfg.momentum)
+    res = train(cfg, params=copy.deepcopy(init))
+    for name, tensor in res.params.tensors().items():
+        assert tensor.tobytes() == theta[name].tobytes(), name
+    # the first step already moves by (1 + momentum) gamma_theta d, so the
+    # runs part from the second iteration's loss on
+    plain = train(dataclasses.replace(cfg, tp_momentum=False), params=copy.deepcopy(init))
+    assert res.log.losses[0] == plain.log.losses[0]
+    assert res.log.losses[1] != plain.log.losses[1]
+
+
 def test_divergence_truncates_log_with_marker():
     # MSE blows up multiplicatively under a huge stepsize; CE on tanh would not
     cfg = small_config(task="adding", T=12, method="bp", gamma=1e8, iters=300, momentum=0.0)
@@ -232,6 +257,13 @@ def test_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_config_rejects_a_key_given_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("r = 1.0\n# ridge\nT = 20\nr = 0.0\n")
+    with pytest.raises(ParseError, match=r"twice.cfg:4: r already set on line 1"):
+        load_config(str(path))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(batch=0).validate()
@@ -254,7 +286,7 @@ def test_config_validation():
             small_config(model="gru", epsilon=eps).validate()
     for bad in (dict(gamma=-1e-3), dict(gamma_h=-1.0), dict(gamma_theta=-0.1),
                 dict(gamma_h=float("nan")), dict(momentum=-0.1), dict(momentum=1.0),
-                dict(momentum=1.5), dict(iters=0)):
+                dict(momentum=1.5), dict(iters=0), dict(activation="softsign")):
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
     for name in ("r", "gamma", "gamma_h", "gamma_theta"):
