@@ -6,10 +6,14 @@ sweep into a CSV and an SVG heatmap), check (named diagnostic suites as a
 pass/fail CSV table), bench (per-iteration timing of the two backward
 passes of the RNN or the GRU), plot (metrics CSVs into a self-contained SVG).
 
-train and grid take one flag per ExperimentConfig field (``--gamma-h`` for
-``gamma_h``), built from the fields themselves: a setting is declared once,
-in trainer, and flags override a --config file, which overrides the
-defaults.
+This module is argument plumbing and output writers only: settings, tasks,
+cells and their passes come from trainer. A run setting is declared once,
+as an ExperimentConfig field, and is the same flag (``--gamma-h`` for
+``gamma_h``) with the same help line and checks in every command that
+takes it: train and grid take all of them, gen-data task, T, batch and
+seed, bench model, batch and seed. In train and grid, flags override a
+--config file, which overrides the defaults (grid's base runs 400
+iterations).
 
 Exit codes: 0 success, 1 usage or config error, 2 training diverged.
 Plots are hand-written SVG, so runs have no plotting dependency and the
@@ -23,10 +27,12 @@ import dataclasses
 import os
 import sys
 import time
+import types
+from html import escape
 
 import numpy as np
 
-from . import diagnostics, gru, linalg, rnn, targetprop, tasks, trainer
+from . import diagnostics, linalg, rnn, targetprop, tasks, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,15 +50,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # SVG writers
+
+
+def _write_svg(path, W: int, H: int, title: str, title_y: int, body: list[str]) -> None:
+    """Write a W x H SVG: white background, the escaped title centred at
+    ``title_y``, then the ``body`` elements."""
+    trainer.write_text_atomic(path, "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W / 2:.1f}" y="{title_y}" text-anchor="middle" '
+        f'font-size="13">{escape(title, quote=False)}</text>',
+        *body,
+        "</svg>",
+    ]) + "\n")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -67,8 +80,6 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
     ``series`` is a list of (label, xs, ys). Axis ranges are the exact data
     extrema; with no data at all the axes span [0, 1]. Text is XML-escaped.
     """
-    from xml.sax.saxutils import escape  # loads urllib.request (~40 ms); only plots need it
-
     W, H = 640, 420
     ml, mr, mt, mb = 64, 20, 28, 44
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -87,10 +98,6 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         return H - mb - (y - y0) / (y1 - y0) * (H - mt - mb)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2:.1f}" y="16" text-anchor="middle" font-size="13">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" stroke="black"/>',
     ]
@@ -105,9 +112,10 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         out.append(f'<text x="{ml - 6}" y="{py(t) + 3:.1f}" '
                    f'text-anchor="end">{t:.4g}</text>')
     out.append(f'<text x="{(ml + W - mr) / 2:.1f}" y="{H - 8}" '
-               f'text-anchor="middle">{escape(xlabel)}</text>')
+               f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
     out.append(f'<text x="14" y="{(mt + H - mb) / 2:.1f}" text-anchor="middle" '
-               f'transform="rotate(-90 14 {(mt + H - mb) / 2:.1f})">{escape(ylabel)}</text>')
+               f'transform="rotate(-90 14 {(mt + H - mb) / 2:.1f})">'
+               f'{escape(ylabel, quote=False)}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
@@ -119,9 +127,8 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         ly = mt + 14 + 16 * i
         out.append(f'<line x1="{W - mr - 150}" y1="{ly}" x2="{W - mr - 126}" '
                    f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{W - mr - 120}" y="{ly + 4}">{escape(label)}</text>')
-    out.append("</svg>")
-    _atomic_write(path, "\n".join(out) + "\n")
+        out.append(f'<text x="{W - mr - 120}" y="{ly + 4}">{escape(label, quote=False)}</text>')
+    _write_svg(path, W, H, title, 16, out)
 
 
 def _heat_color(t: float) -> str:
@@ -135,8 +142,6 @@ def write_heatmap_svg(path, cells, title=""):
     """Grid of (gamma_theta, r) cells shaded by area under the training-loss
     curve: smaller area is brighter, diverged cells stay blank. The title
     is XML-escaped."""
-    from xml.sax.saxutils import escape  # as in write_line_svg
-
     gts = sorted({c.gamma_theta for c in cells}, reverse=True)
     rs = sorted({c.r for c in cells})
     cw, ch = 84, 46
@@ -147,12 +152,7 @@ def write_heatmap_svg(path, cells, title=""):
     lo = min(finite) if finite else 0.0
     span = (max(finite) - lo) if len(finite) > 1 and max(finite) > lo else 1.0
     by_pos = {(c.gamma_theta, c.r): c for c in cells}
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2:.1f}" y="20" text-anchor="middle" font-size="13">{escape(title)}</text>',
-    ]
+    out = []
     for i, gt in enumerate(gts):
         for j, r in enumerate(rs):
             cell = by_pos.get((gt, r))
@@ -179,42 +179,45 @@ def write_heatmap_svg(path, cells, title=""):
                f'text-anchor="middle">r</text>')
     out.append(f'<text x="16" y="{mt + ch * len(gts) / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {mt + ch * len(gts) / 2:.1f})">gamma_theta</text>')
-    out.append("</svg>")
-    _atomic_write(path, "\n".join(out) + "\n")
+    _write_svg(path, W, H, title, 20, out)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gen_data(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    gen = (tasks.gen_temporal_order if args.task == tasks.TEMPORAL_ORDER
-           else tasks.gen_adding)
-    batches = [gen(args.T, args.batch, rng) for _ in range(args.n)]
-    tasks.dump_batches_csv(args.out, batches)
-    print(f"wrote {args.n} {args.task} batches (T={args.T}, batch={args.batch}) "
-          f"to {args.out}")
-    return EXIT_OK
-
-
-def _config_from_args(args) -> trainer.ExperimentConfig:
-    cfg = (trainer.load_config(args.config) if args.config
-           else trainer.ExperimentConfig())
-    for fld in dataclasses.fields(trainer.ExperimentConfig):
-        v = getattr(args, fld.name, None)
-        if v is not None:
-            setattr(cfg, fld.name, v)
+def _config_from_args(args, base: trainer.ExperimentConfig | None = None):
+    """The validated run settings: ``base`` (the defaults when None), then
+    the --config file if the command takes one, then the flags given."""
+    cfg = base or trainer.ExperimentConfig()
+    if getattr(args, "config", None):
+        cfg = trainer.load_config(args.config, cfg)
+    given = {fld.name: getattr(args, fld.name)
+             for fld in dataclasses.fields(cfg) if getattr(args, fld.name, None) is not None}
+    cfg = dataclasses.replace(cfg, **given)
     cfg.validate()
     return cfg
+
+
+def cmd_gen_data(args) -> int:
+    cfg = _config_from_args(args)
+    if cfg.task == "pixels":
+        raise trainer.ConfigError("gen-data writes synthetic tasks only, not task 'pixels'")
+    if args.n < 1:
+        raise trainer.ConfigError(f"--n must be at least 1, got {args.n}")
+    task = trainer.build_task(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    tasks.dump_batches_csv(args.out, [task.sample(rng) for _ in range(args.n)])
+    print(f"wrote {args.n} {cfg.task} batches (T={cfg.T}, batch={cfg.batch}) "
+          f"to {args.out}")
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     trainer.save_config(cfg, os.path.join(args.out, "config.snapshot"))
-    result = trainer.train(cfg)
-    log = result.log
+    log = trainer.train(cfg).log
     log.to_csv(os.path.join(args.out, "metrics.csv"))
     if log.diverged:
         print(f"diverged task={cfg.task} method={cfg.method} "
@@ -229,9 +232,12 @@ def cmd_train(args) -> int:
 
 def _float_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise trainer.ConfigError(f"bad grid {text!r}, want comma-separated numbers")
+    return values
 
 
 def _int_grid(text: str) -> list[int]:
@@ -242,20 +248,17 @@ def _int_grid(text: str) -> list[int]:
 
 
 def cmd_grid(args) -> int:
-    base = _config_from_args(args)
+    base = _config_from_args(args, trainer.ExperimentConfig(iters=trainer.GRID_HORIZON))
     gts = _float_grid(args.gamma_theta_grid)
     rs = _float_grid(args.r_grid)
-    if not gts or not rs:
-        raise trainer.ConfigError("grids must be nonempty")
-    horizon = args.iters if args.iters is not None else 400
-    cells = trainer.grid_search(base, gts, rs, horizon=horizon, jobs=args.jobs)
+    cells = trainer.grid_search(base, gts, rs, horizon=base.iters, jobs=args.jobs)
     lines = ["gamma_theta,r,area,diverged"]
     for c in cells:
         flag = "true" if c.diverged else "false"
         lines.append(f"{c.gamma_theta:.17g},{c.r:.17g},{c.area:.17g},{flag}")
-    _atomic_write(args.out_csv, "\n".join(lines) + "\n")
+    trainer.write_text_atomic(args.out_csv, "\n".join(lines) + "\n")
     write_heatmap_svg(args.out_svg, cells,
-                      title=f"{base.task} {base.method} area({horizon} iters)")
+                      title=f"{base.task} {base.method} area({base.iters} iters)")
     n_div = sum(c.diverged for c in cells)
     print(f"grid {len(cells)} cells ({n_div} diverged) -> {args.out_csv}, {args.out_svg}")
     return EXIT_OK
@@ -273,57 +276,55 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_USAGE
 
 
+# the input and output shape of a bench point: 4 features, 4 classes
+_BENCH_TASK = types.SimpleNamespace(d=4, n_out=4, output_kind=rnn.SOFTMAX_CE)
+
+
 def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
     """Median per-iteration wall time of forward + backward for bp and tp
-    of one model at one (tau, p), after 3 warmups, plus inversions per
-    call. The GRU's methods are named gru-bp and gru-tp."""
+    of one model at one (tau, p), plus inversions per call. Every round
+    times bp and then tp, so a slow spell of the host lands on both; 3
+    warm-up rounds go untimed. The GRU's methods are named gru-bp and
+    gru-tp."""
     rng = np.random.default_rng(seed)
-    d, n_out = 4, 4
-    x = rng.standard_normal((tau, d, batch))
-    y = rng.integers(0, n_out, size=batch)
+    x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
+    y = rng.integers(0, _BENCH_TASK.n_out, size=batch)
     hyper = targetprop.TpHyper(gamma_h=1e-2, gamma_theta=1e-1, r=1.0)
-    if model == "gru":
-        params = gru.init_gru_params(p, d, n_out, rnn.SOFTMAX_CE, seed)
-        forward = gru.gru_forward
-        backward = {"gru-bp": gru.gru_bptt,
-                    "gru-tp": lambda *a: gru.gru_tp_backward(*a, hyper)}
-    else:
-        params = rnn.init_params(p, d, n_out, "tanh", rnn.SOFTMAX_CE, seed)
-        forward = rnn.forward
-        backward = {trainer.BP: rnn.bptt,
-                    trainer.TP: lambda *a: targetprop.tp_direction(*a, hyper)}
-    rows = []
-    for method, back in backward.items():
-        def step():
-            back(params, forward(params, x), y)
-        for _ in range(3):
-            step()
-        times = []
-        before = linalg.factorization_count()
-        for _ in range(reps):
+    params = trainer.init_model(trainer.ExperimentConfig(model=model, hidden=p),
+                                _BENCH_TASK, seed)
+    forward, bptt, tp_backward = trainer.cell_passes(params)
+    prefix = "" if model == "rnn" else f"{model}-"
+    backward = {prefix + trainer.BP: bptt,
+                prefix + trainer.TP: lambda *a: tp_backward(*a, hyper)}
+    times = {method: [] for method in backward}
+    inversions = dict.fromkeys(backward, 0)
+    for rnd in range(-3, reps):
+        for method, back in backward.items():
+            before = linalg.factorization_count()
             t0 = time.perf_counter()
-            step()
-            times.append((time.perf_counter() - t0) * 1000.0)
-        inversions = (linalg.factorization_count() - before) // reps
-        rows.append((tau, p, method, float(np.median(times)), inversions))
-    return rows
+            back(params, forward(params, x), y)
+            ms = (time.perf_counter() - t0) * 1000.0
+            if rnd >= 0:
+                times[method].append(ms)
+                inversions[method] += linalg.factorization_count() - before
+    return [(tau, p, method, float(np.median(times[method])), inversions[method] // reps)
+            for method in backward]
 
 
 def cmd_bench(args) -> int:
+    cfg = _config_from_args(args)
     taus = _int_grid(args.tau_grid)
     ps = _int_grid(args.p_grid)
-    if not taus or not ps:
-        raise trainer.ConfigError("grids must be nonempty")
-    if min(taus + ps) < 1 or args.batch < 1 or args.reps < 1:
-        raise trainer.ConfigError("tau, p, batch and reps must be positive")
+    if min(taus + ps) < 1 or args.reps < 1:
+        raise trainer.ConfigError("tau, p and reps must be positive")
     lines = ["tau,p,method,ms_per_iter,inversions"]
     for p in ps:
         for tau in taus:
-            for row in bench_point(tau, p, args.batch, args.reps, args.seed, args.model):
+            for row in bench_point(tau, p, cfg.batch, args.reps, cfg.seed, cfg.model):
                 lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]:.4f},{row[4]}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        trainer.write_text_atomic(args.out, text)
     print(text, end="")
     return EXIT_OK
 
@@ -336,12 +337,9 @@ def cmd_plot(args) -> int:
     for path in args.inputs:
         log = trainer.MetricsLog.from_csv(path)
         label = os.path.splitext(os.path.basename(path))[0]
-        if args.metric == "loss":
-            series.append((label, log.iters, log.losses))
-        elif args.metric == "acc":
-            series.append((label, log.iters, log.accs))
-        else:
-            series.append((label, log.eval_iters, log.eval_accs))
+        columns = {"loss": (log.iters, log.losses), "acc": (log.iters, log.accs),
+                   "eval_acc": (log.eval_iters, log.eval_accs)}
+        series.append((label, *columns[args.metric]))
     write_line_svg(args.out, series, xlabel="iter", ylabel=args.metric,
                    title=args.title)
     print(f"wrote {args.out}")
@@ -352,13 +350,16 @@ def cmd_plot(args) -> int:
 # parser wiring
 
 
-def _add_config_flags(p: _Parser) -> None:
-    """One flag per ExperimentConfig field, named ``--`` plus the field name
-    with ``_`` as ``-``, with the field's help line and choices. Each
-    defaults to None, `not given`, so a --config file and the field
-    defaults shine through."""
-    p.add_argument("--config", help="key = value config file to start from")
+def _add_config_flags(p: _Parser, names: tuple[str, ...] | None = None) -> None:
+    """One flag per ExperimentConfig field in ``names`` (every field, plus
+    --config, when None), named ``--`` plus the field name with ``_`` as
+    ``-``, with the field's help line and choices. Each defaults to None,
+    `not given`, so a --config file and the field defaults shine through."""
+    if names is None:
+        p.add_argument("--config", help="key = value config file to start from")
     for fld in dataclasses.fields(trainer.ExperimentConfig):
+        if names is not None and fld.name not in names:
+            continue
         if fld.type == "bool":
             kw = dict(action=argparse.BooleanOptionalAction)
         else:
@@ -371,12 +372,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="serialize synthetic batches to CSV")
-    p.add_argument("--task", choices=(tasks.TEMPORAL_ORDER, tasks.ADDING),
-                   default=tasks.TEMPORAL_ORDER)
-    p.add_argument("--T", type=int, default=60)
-    p.add_argument("--batch", type=int, default=20)
+    _add_config_flags(p, ("task", "T", "batch", "seed"))
     p.add_argument("--n", type=int, default=10, help="number of batches")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -402,12 +399,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="per-iteration timing of bp vs tp")
-    p.add_argument("--model", choices=("rnn", "gru"), default="rnn")
+    _add_config_flags(p, ("model", "batch", "seed"))
     p.add_argument("--tau-grid", dest="tau_grid", default="50,784")
     p.add_argument("--p-grid", dest="p_grid", default="100")
-    p.add_argument("--batch", type=int, default=8)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="also write the CSV here")
     p.set_defaults(func=cmd_bench)
 

@@ -66,8 +66,8 @@ def _setting(default, help: str, choices: tuple | None = None):
 
 @dataclass
 class ExperimentConfig:
-    """Every setting of one run. Each field is also a ``tprop train`` and
-    ``tprop grid`` flag (``--`` and its name with ``_`` as ``-``) and a
+    """Every setting of one run. Each field is also a flag of the ``tprop``
+    commands that take it (``--`` and its name with ``_`` as ``-``) and a
     ``name = value`` config line, parsed by its type's entry in PARSERS."""
 
     task: str = _setting(tasks.TEMPORAL_ORDER, "training task", TASKS)
@@ -108,10 +108,9 @@ class ExperimentConfig:
             raise ConfigError("synthetic tasks need T >= 10")
         if self.k < 1:
             raise ConfigError("k must be at least 1 pixel per step")
-        if not 0 <= self.r < np.inf:
-            raise ConfigError("ridge coefficient must be finite and nonnegative")
-        if not all(0 <= g < np.inf for g in (self.gamma, self.gamma_theta)):
-            raise ConfigError("stepsizes gamma and gamma_theta must be finite and >= 0")
+        for name in ("r", "gamma", "gamma_theta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0 <= self.stop_at_acc <= 1:
@@ -122,20 +121,31 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``: a crash leaves the old file or the new one, never a torn
+    one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as f:
-        for fld in dataclasses.fields(cfg):
-            v = getattr(cfg, fld.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            f.write(f"{fld.name} = {v}\n")
+    lines = []
+    for fld in dataclasses.fields(cfg):
+        v = getattr(cfg, fld.name)
+        if isinstance(v, bool):
+            v = "true" if v else "false"
+        elif isinstance(v, float):
+            v = repr(v)
+        lines.append(f"{fld.name} = {v}\n")
+    write_text_atomic(path, "".join(lines))
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a key = value config file written by :func:`save_config`; a
-    key may appear once."""
+def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse a key = value config file written by :func:`save_config` over
+    ``base`` (the defaults when None); a key may appear once."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values, line_of = {}, {}
     with open(path) as fh:
@@ -156,7 +166,10 @@ def load_config(path) -> ExperimentConfig:
                 values[key] = PARSERS[fields[key].type](raw)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-    return ExperimentConfig(**values)
+    return dataclasses.replace(base or ExperimentConfig(), **values)
+
+
+METRICS_HEADER = "iter,loss,acc,wall_ms"
 
 
 @dataclass
@@ -180,30 +193,26 @@ class MetricsLog:
     def to_csv(self, path) -> None:
         eval_at = dict(zip(self.eval_iters, self.eval_accs))
         with_eval = bool(eval_at)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as f:
-            f.write("iter,loss,acc,wall_ms" + (",eval_acc" if with_eval else "") + "\n")
-            for i, it in enumerate(self.iters):
-                row = (f"{it},{self.losses[i]:.17g},{self.accs[i]:.17g},"
-                       f"{self.wall_ms[i]:.3f}")
-                if with_eval:
-                    ev = eval_at.get(it)
-                    row += f",{ev:.17g}" if ev is not None else ","
-                f.write(row + "\n")
-            if self.diverged:
-                f.write(f"# diverged_at={self.diverged_at}\n")
-        os.replace(tmp, path)
+        lines = [METRICS_HEADER + (",eval_acc" if with_eval else "")]
+        for i, it in enumerate(self.iters):
+            row = (f"{it},{self.losses[i]:.17g},{self.accs[i]:.17g},"
+                   f"{self.wall_ms[i]:.3f}")
+            if with_eval:
+                ev = eval_at.get(it)
+                row += f",{ev:.17g}" if ev is not None else ","
+            lines.append(row)
+        if self.diverged:
+            lines.append(f"# diverged_at={self.diverged_at}")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":
         log = cls()
         with open(path) as f:
             header = f.readline().strip()
-            if not header.startswith("iter,loss,acc,wall_ms"):
+            if header not in (METRICS_HEADER, METRICS_HEADER + ",eval_acc"):
                 raise ParseError(f"{path}: unexpected header {header!r}")
-            with_eval = header == "iter,loss,acc,wall_ms,eval_acc"
-            if not with_eval and header != "iter,loss,acc,wall_ms":
-                raise ParseError(f"{path}: unexpected header {header!r}")
+            with_eval = header != METRICS_HEADER
             for lineno, line in enumerate(f, 2):
                 line = line.strip()
                 if not line:
@@ -332,25 +341,13 @@ def nesterov_step(theta: dict, velocity: dict, grad: dict,
         theta[name] += momentum * v - gamma * g
 
 
-def _forward_for(params, inputs, **kwargs):
+def cell_passes(params):
+    """The (forward, bptt, tp backward) of the cell ``params`` belongs to.
+    They are read off their modules at each call, so wrappers installed
+    there see every call made through them."""
     if isinstance(params, gru_mod.GruParams):
-        return gru_mod.gru_forward(params, inputs, **kwargs)
-    return rnn.forward(params, inputs, **kwargs)
-
-
-def _direction_for(cfg, params, cache, y, hyper):
-    """What one batch asks the optimizer to descend along: the BPTT gradient,
-    or the negated TP direction. The backward passes are looked up on their
-    modules at each call, so wrappers installed there see every call."""
-    if cfg.method == BP:
-        if isinstance(params, gru_mod.GruParams):
-            return gru_mod.gru_bptt(params, cache, y)
-        return rnn.bptt(params, cache, y)
-    if isinstance(params, gru_mod.GruParams):
-        d = gru_mod.gru_tp_backward(params, cache, y, hyper)
-    else:
-        d = targetprop.tp_direction(params, cache, y, hyper)
-    return {k: -v for k, v in d.items()}
+        return gru_mod.gru_forward, gru_mod.gru_bptt, gru_mod.gru_tp_backward
+    return rnn.forward, rnn.bptt, targetprop.tp_direction
 
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
@@ -358,19 +355,20 @@ def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
     (in n_batches slices of 250, or all of it for n_batches = 0) for images.
     The forward passes keep no per-step states, so memory does not grow
     with the sequence length."""
+    forward = cell_passes(params)[0]
     if isinstance(task, _PixelTask):
         n = task.test.n if n_batches == 0 else min(task.test.n, 250 * n_batches)
         correct = 0
         for start in range(0, n, 250):
             idx = np.arange(start, min(start + 250, n))
             b = tasks.image_batch(task.test, idx, task.k, task.permutation)
-            cache = _forward_for(params, b.inputs, states=False)
+            cache = forward(params, b.inputs, states=False)
             correct += int(np.sum(np.argmax(cache.y_hat, axis=0) == b.labels))
         return correct / n
     accs = []
     for _ in range(max(n_batches, 1)):
         b = task.sample(rng)
-        cache = _forward_for(params, b.inputs, states=False)
+        cache = forward(params, b.inputs, states=False)
         accs.append(task.accuracy(cache.y_hat, b.labels))
     return float(np.mean(accs))
 
@@ -389,6 +387,7 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
         params = init_model(cfg, task, int(s_init.generate_state(1)[0]))
     rng_data = np.random.default_rng(s_data)
     rng_eval = np.random.default_rng(s_eval)
+    forward, bptt, tp_backward = cell_passes(params)
     theta = params.tensors()
     velocity = {k: np.zeros_like(v) for k, v in theta.items()}
     hyper = targetprop.TpHyper(
@@ -405,15 +404,19 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
         for it in range(cfg.iters):
             t0 = time.perf_counter()
             batch = task.sample(rng_data)
-            cache = _forward_for(params, batch.inputs, out=hs)
+            cache = forward(params, batch.inputs, out=hs)
             loss = rnn.loss(batch.labels, cache)
             if not np.isfinite(loss):
                 log.diverged = True
                 log.diverged_at = it
                 break
             acc = task.accuracy(cache.y_hat, batch.labels)
-            try:
-                g = _direction_for(cfg, params, cache, batch.labels, hyper)
+            try:  # descend along the BPTT gradient or the negated TP direction
+                if cfg.method == BP:
+                    g = bptt(params, cache, batch.labels)
+                else:
+                    g = {k: -v for k, v in
+                         tp_backward(params, cache, batch.labels, hyper).items()}
             except SingularSystem:
                 log.diverged = True
                 log.diverged_at = it
@@ -458,37 +461,41 @@ class GridCell:
     diverged: bool
 
 
-def _grid_run(args) -> GridCell:
-    cfg, gt, r = args
-    run = dataclasses.replace(cfg, gamma_theta=gt, r=r)
+def _grid_run(run: ExperimentConfig) -> GridCell:
     result = train(run)
     diverged = result.log.diverged or len(result.log.losses) < run.iters
     area = float("nan") if diverged else training_area(result.log.losses)
-    return GridCell(gamma_theta=gt, r=r, area=area, diverged=diverged)
+    return GridCell(gamma_theta=run.gamma_theta, r=run.r, area=area, diverged=diverged)
+
+
+GRID_HORIZON = 400  # iterations per grid cell unless a caller says otherwise
 
 
 def grid_search(
     base: ExperimentConfig,
     gamma_theta_grid,
     r_grid,
-    horizon: int = 400,
+    horizon: int = GRID_HORIZON,
     jobs: int = 1,
 ) -> list[GridCell]:
     """Area under the training-loss curve for every (gamma_theta, r) cell.
 
     Every other setting, gamma_h included, comes from ``base`` and is the
     same in every cell; each cell trains for ``horizon`` iterations from the
-    same seed. Diverged cells get area nan. Cells are independent runs, so
-    jobs > 1 fans them out over processes.
+    same seed. Diverged cells get area nan. Every cell's config is checked
+    before the first one trains. Cells are independent runs, so jobs > 1
+    fans them out over processes.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cfg = dataclasses.replace(base, iters=horizon, stop_at_acc=0.0)
-    cfg.validate()
-    work = [(cfg, float(gt), float(r)) for gt in gamma_theta_grid for r in r_grid]
+    runs = [dataclasses.replace(cfg, gamma_theta=float(gt), r=float(r))
+            for gt in gamma_theta_grid for r in r_grid]
+    for run in runs:
+        run.validate()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_grid_run, work))
-    return [_grid_run(w) for w in work]
+            return list(pool.map(_grid_run, runs))
+    return [_grid_run(run) for run in runs]

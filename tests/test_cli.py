@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import struct
 import xml.etree.ElementTree as ET
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from tprop import tasks, trainer
-from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser,
-                       main, write_heatmap_svg)
+from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _add_config_flags, _config_from_args,
+                       bench_point, build_parser, main, write_heatmap_svg)
 
 
 def write_tiny_idx(root, n=8, h=4, w=4, n_classes=4, seed=0):
@@ -52,6 +53,37 @@ def test_gen_data_round_trip(tmp_path, capsys):
     main(["gen-data", "--task", "adding", "--T", "20", "--batch", "5",
           "--n", "3", "--seed", "9", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_gen_data_rejects_a_bad_setting_before_writing(tmp_path, capsys):
+    out = tmp_path / "batches.csv"
+    for bad, named in ((["--seed", "-1"], "seed"), (["--batch", "0"], "batch"),
+                       (["--task", "pixels"], "pixels"), (["--n", "0"], "--n"),
+                       (["--T", "5"], "T >= 10")):
+        assert main(["gen-data", *bad, "--out", str(out)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_every_command_declares_its_settings_as_config_fields():
+    fields = {fld.name: fld for fld in dataclasses.fields(trainer.ExperimentConfig)}
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    with_settings = set()
+    for name, parser in commands.items():
+        for action in parser._actions:
+            if action.dest not in fields:
+                continue
+            # the flag reads exactly as _add_config_flags declares it
+            reference = argparse.ArgumentParser()
+            _add_config_flags(reference, (action.dest,))
+            want = reference._actions[-1]
+            assert (action.option_strings, action.choices, action.type, action.default,
+                    type(action)) == (want.option_strings, want.choices, want.type,
+                                      want.default, type(want)), (name, action.dest)
+            assert action.help == fields[action.dest].metadata["help"], (name, action.dest)
+            with_settings.add(name)
+    assert with_settings == {"gen-data", "train", "grid", "bench"}
+    assert _config_from_args(build_parser().parse_args(["bench"])).batch == 20
 
 
 def test_train_writes_snapshot_and_metrics(tmp_path, capsys):
@@ -277,6 +309,69 @@ def test_grid_rejects_nonpositive_jobs(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_grid_runs_the_config_files_iters_unless_a_flag_overrides(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(base, gts, rs, horizon, jobs):
+        calls.append((base.iters, base.T, horizon))
+        return [trainer.GridCell(gts[0], rs[0], 1.0, False)]
+
+    monkeypatch.setattr(trainer, "grid_search", spy)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("iters = 7\nT = 12\n")
+    common = ["grid", "--gamma-theta-grid", "0.1", "--r-grid", "1",
+              "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
+    assert main([*common, "--config", str(cfg)]) == EXIT_OK
+    assert main([*common, "--config", str(cfg), "--iters", "3"]) == EXIT_OK
+    assert main(common) == EXIT_OK
+    assert calls == [(7, 12, 7), (3, 12, 3), (trainer.GRID_HORIZON, 60, trainer.GRID_HORIZON)]
+    assert "area(400 iters)" in (tmp_path / "g.svg").read_text()
+
+
+def test_grid_rejects_a_bad_cell_before_training(tmp_path, capsys):
+    argv = ["grid", "--T", "12", "--hidden", "4", "--batch", "2", "--iters", "3",
+            "--gamma-theta-grid", "0.1", "--r-grid", "1,-1",
+            "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
+    assert main(argv) == EXIT_USAGE
+    assert "r must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
+    calls = []
+    real = trainer.cell_passes
+
+    def recording(params):
+        forward, bptt, tp_backward = real(params)
+
+        def bp(*args):
+            calls.append("bp")
+            return bptt(*args)
+
+        def tp(*args):
+            calls.append("tp")
+            return tp_backward(*args)
+
+        return forward, bp, tp
+
+    monkeypatch.setattr(trainer, "cell_passes", recording)
+    for model, names in (("rnn", ["bp", "tp"]), ("gru", ["gru-bp", "gru-tp"])):
+        calls.clear()
+        rows = bench_point(5, 4, 2, reps=4, model=model)
+        assert calls == ["bp", "tp"] * (3 + 4), model  # 3 warm-up rounds, then 4 timed
+        assert [method for _, _, method, _, _ in rows] == names
+        assert [inv for *_, inv in rows] == [0, 1 if model == "rnn" else 3]
+
+
+def test_bench_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--seed", "-1", "--tau-grid", "5", "--p-grid", "3", "--reps", "1",
+            "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_csv_counts_inversions(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import gru, rnn, targetprop, tasks
+from tprop import gru, rnn, targetprop, tasks, trainer
 from tprop.targetprop import TpHyper, tp_direction
 from tprop.tasks import gen_temporal_order
 from tprop.trainer import (
@@ -204,6 +204,17 @@ def test_grid_search_marks_diverged_cells():
     assert np.isfinite(by_r[1.0].area)
 
 
+def test_grid_search_checks_every_cell_before_the_first_trains(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda cfg: calls.append(cfg))
+    for gts, rs, named in (([0.1], [1.0, -1.0], r"^r must be .*, got -1\.0"),
+                           ([0.1, float("nan")], [1.0], r"^gamma_theta must be .*, got nan"),
+                           ([0.1], [1.0, float("inf")], r"^r must be .*, got inf")):
+        with pytest.raises(ConfigError, match=named):
+            grid_search(small_config(), gts, rs, horizon=2)
+    assert calls == []
+
+
 def test_grid_search_parallel_jobs_match_serial():
     cfg = small_config(iters=5)
     serial = grid_search(cfg, [0.05, 0.1], [0.5, 1.0], horizon=5, jobs=1)
@@ -248,6 +259,35 @@ def test_config_round_trip(tmp_path):
     save_config(cfg, str(path))
     loaded = load_config(str(path))
     assert loaded == cfg
+
+
+def test_config_file_applies_over_a_base(tmp_path):
+    path = tmp_path / "part.cfg"
+    path.write_text("iters = 7\n")
+    assert load_config(str(path), small_config(iters=400)) == small_config(iters=7)
+    assert load_config(str(path), small_config(T=30)) == small_config(T=30, iters=7)
+    assert load_config(str(path)) == ExperimentConfig(iters=7)
+
+
+def test_a_failing_replace_leaves_the_old_files_intact(tmp_path, monkeypatch):
+    snapshot, metrics = tmp_path / "config.snapshot", tmp_path / "metrics.csv"
+    old_cfg, old_log = small_config(T=20), train(small_config(iters=3)).log
+    save_config(old_cfg, str(snapshot))
+    old_log.to_csv(str(metrics))
+    before = snapshot.read_bytes(), metrics.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="disk gone"):
+        save_config(small_config(T=40), str(snapshot))
+    with pytest.raises(OSError, match="disk gone"):
+        train(small_config(iters=5)).log.to_csv(str(metrics))
+    assert (snapshot.read_bytes(), metrics.read_bytes()) == before
+    monkeypatch.undo()
+    assert load_config(str(snapshot)) == old_cfg
+    assert MetricsLog.from_csv(str(metrics)).losses == old_log.losses
 
 
 def test_config_rejects_unknown_key(tmp_path):
