@@ -99,30 +99,6 @@ class Sigmoid(Activation):
         return np.log(v) - np.log1p(-v)
 
 
-class ReLU(Activation):
-    """max(0, u). Experimental for target propagation.
-
-    The map is not injective, so the "inverse" below is only a pseudo-inverse
-    on the clipped range [eps, inf): it returns v itself. Derivative at the
-    kink (u = 0) is taken to be 0. Provided for completeness; tanh is the
-    recommended recurrent activation.
-    """
-
-    name = "relu"
-
-    def apply(self, u):
-        return np.maximum(u, 0.0)
-
-    def deriv(self, h):
-        return (np.asarray(h) > 0.0).astype(np.float64)
-
-    def projected_range(self, eps):
-        return (eps, np.inf)
-
-    def _inverse(self, v):
-        return np.asarray(v, dtype=np.float64).copy()
-
-
 class Identity(Activation):
     name = "identity"
 
@@ -143,7 +119,7 @@ class Identity(Activation):
 
 
 ACTIVATIONS: dict[str, Activation] = {
-    a.name: a for a in (Tanh(), Sigmoid(), ReLU(), Identity())
+    a.name: a for a in (Tanh(), Sigmoid(), Identity())
 }
 
 

@@ -1,23 +1,22 @@
 """Command line front end.
 
-Subcommands: gen-data (serialize synthetic batches), train (one run with
-metrics and a reproducible config snapshot), grid (stepsize/regularization
-sweep into a CSV and an SVG heatmap), check (named diagnostic suites as a
-pass/fail CSV table), bench (per-iteration timing of the two backward
-passes of the RNN or the GRU), plot (metrics CSVs into a self-contained SVG).
+Subcommands: train (one run with metrics and a reproducible config
+snapshot), grid (stepsize/regularization sweep into a CSV and an SVG
+heatmap), check (named diagnostic suites as a pass/fail CSV table), bench
+(per-iteration timing of the two backward passes of the RNN or the GRU),
+plot (metrics CSVs into a self-contained SVG).
 
 This module is argument plumbing and output writers only: settings, tasks,
 cells and their passes come from trainer. A run setting is declared once,
 as an ExperimentConfig field, and is the same flag (``--gamma-h`` for
 ``gamma_h``) with the same help line and checks in every command that
-takes it: train and grid take all of them, gen-data task, T, batch and
-seed, bench model, batch and seed. In train and grid, flags override a
---config file, which overrides the defaults (grid's base runs 400
-iterations).
+takes it: train and grid take all of them, bench model, batch and seed. In
+train and grid, flags override a --config file, which overrides the
+defaults (grid's base runs 400 iterations).
 
-Exit codes: 0 success, 1 usage or config error, 2 training diverged.
-Plots are hand-written SVG, so runs have no plotting dependency and the
-artifacts diff cleanly.
+Exit codes: 0 success, 1 usage or config error or a failed check, 2
+training diverged. Plots are hand-written SVG, so runs have no plotting
+dependency and the artifacts diff cleanly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from html import escape
 
 import numpy as np
 
-from . import diagnostics, linalg, rnn, targetprop, tasks, trainer
+from . import diagnostics, linalg, rnn, targetprop, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,20 +198,6 @@ def _config_from_args(args, base: trainer.ExperimentConfig | None = None):
     return cfg
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.task == "pixels":
-        raise trainer.ConfigError("gen-data writes synthetic tasks only, not task 'pixels'")
-    if args.n < 1:
-        raise trainer.ConfigError(f"--n must be at least 1, got {args.n}")
-    task = trainer.build_task(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    tasks.dump_batches_csv(args.out, [task.sample(rng) for _ in range(args.n)])
-    print(f"wrote {args.n} {cfg.task} batches (T={cfg.T}, batch={cfg.batch}) "
-          f"to {args.out}")
-    return EXIT_OK
-
-
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
@@ -370,12 +355,6 @@ def _add_config_flags(p: _Parser, names: tuple[str, ...] | None = None) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="tprop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="serialize synthetic batches to CSV")
-    _add_config_flags(p, ("task", "T", "batch", "seed"))
-    p.add_argument("--n", type=int, default=10, help="number of batches")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training experiment")
     _add_config_flags(p)

@@ -32,12 +32,14 @@ EXACT_INVERSE = "exact_inverse"
 VARIANTS = (LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE)
 
 
-def check_hyper(gamma_h: float, epsilon: float) -> None:
-    """Raise ValueError unless gamma_h is finite and nonnegative and the
-    clip margin epsilon lies in (0, 0.5), where every activation's
-    projected range is a nonempty interval inside its image."""
+def check_hyper(gamma_h: float, r: float, epsilon: float) -> None:
+    """Raise ValueError unless gamma_h and the ridge coefficient r are finite
+    and nonnegative and the clip margin epsilon lies in (0, 0.5), where every
+    activation's projected range is a nonempty interval inside its image."""
     if not 0 <= gamma_h < np.inf:
         raise ValueError(f"target stepsize gamma_h must be finite and >= 0, got {gamma_h}")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     if not 0 < epsilon < 0.5:
         raise ValueError(f"projection clip margin epsilon must lie in (0, 0.5), got {epsilon}")
 
@@ -62,7 +64,7 @@ class TpHyper:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        check_hyper(self.gamma_h, self.epsilon)
+        check_hyper(self.gamma_h, self.r, self.epsilon)
 
 
 def inverse_apply(

@@ -18,10 +18,9 @@ TEMPORAL_ORDER = "temporal-order"
 ADDING = "adding"
 
 # Symbol layout for the temporal-order alphabet: four distractors, then the
-# two special symbols whose order determines the class.
+# two special symbols X_SYM and X_SYM + 1 whose order determines the class.
 N_SYMBOLS = 6
 X_SYM = 4
-Y_SYM = 5
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -51,7 +50,6 @@ class BadHeader(ValueError):
 class Batch:
     inputs: np.ndarray   # (tau, d, B) float64
     labels: np.ndarray   # (B,) int64 class ids, or (B,) float64 targets
-    task: str
 
 
 @dataclass
@@ -95,7 +93,7 @@ def gen_temporal_order(T: int, batch: int, rng: np.random.Generator) -> Batch:
         xs[pos - 1, :, cols] = 0.0
         xs[pos - 1, X_SYM + which, cols] = 1.0
     labels = (2 * first + second).astype(np.int64)
-    return Batch(inputs=xs, labels=labels, task=TEMPORAL_ORDER)
+    return Batch(inputs=xs, labels=labels)
 
 
 def gen_adding(T: int, batch: int, rng: np.random.Generator) -> Batch:
@@ -121,7 +119,7 @@ def gen_adding(T: int, batch: int, rng: np.random.Generator) -> Batch:
     xs[t1 - 1, 1, cols] = 1.0
     xs[t2 - 1, 1, cols] = 1.0
     labels = 0.5 * (vals[t1 - 1, cols] + vals[t2 - 1, cols])
-    return Batch(inputs=xs, labels=labels, task=ADDING)
+    return Batch(inputs=xs, labels=labels)
 
 
 def classification_accuracy(y_hat: np.ndarray, labels: np.ndarray) -> float:
@@ -207,7 +205,7 @@ def image_batch(
     order = np.arange(npix) if permutation is None else np.asarray(permutation)
     pixels = dataset.images.reshape(dataset.n, npix)[indices[None, :], order[:, None]]
     inputs = _PIXEL_SCALE[pixels].reshape(npix // k, k, len(indices))
-    return Batch(inputs=inputs, labels=dataset.labels[indices], task="pixels")
+    return Batch(inputs=inputs, labels=dataset.labels[indices])
 
 
 def epoch_indices(n: int, batch: int, rng: np.random.Generator):
@@ -227,58 +225,3 @@ def epoch_indices(n: int, batch: int, rng: np.random.Generator):
                 yield order[start:start + batch]
 
     return batches()
-
-
-def dump_batches_csv(path, batches: list[Batch]) -> None:
-    """Flat CSV dump: one row per sample, inputs flattened time-major.
-
-    A comment header records the task, shape, and label kind, so the file
-    round-trips through :func:`load_batches_csv` exactly (floats are printed
-    with repr precision).
-    """
-    if not batches:
-        raise ValueError("nothing to dump")
-    first = batches[0]
-    T, d, _ = first.inputs.shape
-    label_kind = "int" if np.issubdtype(first.labels.dtype, np.integer) else "float"
-    with open(path, "w") as f:
-        f.write(f"# task={first.task} T={T} d={d} label={label_kind}\n")
-        f.write("batch,sample,label," +
-                ",".join(f"x{t}_{j}" for t in range(T) for j in range(d)) + "\n")
-        for bi, b in enumerate(batches):
-            for s in range(b.inputs.shape[2]):
-                lbl = (str(int(b.labels[s])) if label_kind == "int"
-                       else format(float(b.labels[s]), ".17g"))
-                row = b.inputs[:, :, s].reshape(-1)
-                f.write(f"{bi},{s},{lbl}," +
-                        ",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_batches_csv(path) -> list[Batch]:
-    """Inverse of :func:`dump_batches_csv`."""
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("# task="):
-            raise ValueError(f"{path}: missing dump header")
-        meta = dict(kv.split("=", 1) for kv in header[2:].split())
-        T, d = int(meta["T"]), int(meta["d"])
-        f.readline()  # column names
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    batches: list[Batch] = []
-    by_batch: dict[int, list[list[str]]] = {}
-    for row in rows:
-        by_batch.setdefault(int(row[0]), []).append(row)
-    for bi in sorted(by_batch):
-        group = by_batch[bi]
-        B = len(group)
-        inputs = np.empty((T, d, B))
-        if meta["label"] == "int":
-            labels = np.empty(B, dtype=np.int64)
-        else:
-            labels = np.empty(B, dtype=np.float64)
-        for row in group:
-            s = int(row[1])
-            labels[s] = int(row[2]) if meta["label"] == "int" else float(row[2])
-            inputs[:, :, s] = np.array([float(v) for v in row[3:]]).reshape(T, d)
-        batches.append(Batch(inputs=inputs, labels=labels, task=meta["task"]))
-    return batches

@@ -86,7 +86,6 @@ class ExperimentConfig:
     r: float = _setting(1.0, "ridge coefficient of the inverses")
     epsilon: float = _setting(1e-3, "projection clip margin")
     momentum: float = _setting(0.9, "bp Nesterov momentum; 0 disables")
-    tp_momentum: bool = _setting(False, "apply the momentum to tp directions too")
     batch: int = _setting(20, "sequences per batch")
     iters: int = _setting(10000, "training iterations")
     eval_every: int = _setting(1000, "held-out eval cadence for the pixels task; 0 never")
@@ -108,7 +107,7 @@ class ExperimentConfig:
             raise ConfigError("synthetic tasks need T >= 10")
         if self.k < 1:
             raise ConfigError("k must be at least 1 pixel per step")
-        for name in ("r", "gamma", "gamma_theta"):
+        for name in ("gamma", "gamma_theta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 <= self.momentum < 1:
@@ -116,7 +115,7 @@ class ExperimentConfig:
         if not 0 <= self.stop_at_acc <= 1:
             raise ConfigError("stop_at_acc must lie in [0, 1]")
         try:
-            targetprop.check_hyper(self.gamma_h, self.epsilon)
+            targetprop.check_hyper(self.gamma_h, self.r, self.epsilon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -397,7 +396,7 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     if cfg.method == BP:
         stepsize, momentum = cfg.gamma, cfg.momentum
     else:
-        stepsize, momentum = cfg.gamma_theta, (cfg.momentum if cfg.tp_momentum else 0.0)
+        stepsize, momentum = cfg.gamma_theta, 0.0
     log = MetricsLog()
     hs = None  # the state stack every rollout of the run writes into
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

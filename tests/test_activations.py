@@ -9,14 +9,12 @@ from tprop.activations import ACTIVATIONS, get_activation
 
 TANH = ACTIVATIONS["tanh"]
 SIGMOID = ACTIVATIONS["sigmoid"]
-RELU = ACTIVATIONS["relu"]
 IDENTITY = ACTIVATIONS["identity"]
 
 INTERIOR = {
     # strictly inside each projected image, comfortably away from the clip
     "tanh": (-0.95, 0.95),
     "sigmoid": (0.05, 0.95),
-    "relu": (0.01, 50.0),
     "identity": (-50.0, 50.0),
 }
 
@@ -34,14 +32,12 @@ def test_deriv_fixed_points():
     # deriv takes the output a(u), not u
     npt.assert_allclose(TANH.deriv(TANH.apply(np.array([0.0]))), [1.0], atol=1e-15)
     npt.assert_allclose(SIGMOID.deriv(SIGMOID.apply(np.array([0.0]))), [0.25], atol=1e-15)
-    npt.assert_allclose(RELU.deriv(RELU.apply(np.array([-1.0]))), [0.0], atol=0)
-    npt.assert_allclose(RELU.deriv(RELU.apply(np.array([2.0]))), [1.0], atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
 def test_deriv_matches_finite_difference(name, rng):
     act = ACTIVATIONS[name]
-    u = rng.uniform(0.2, 1.5, size=40)  # positive side keeps relu away from its kink
+    u = rng.uniform(0.2, 1.5, size=40)
     step = 1e-6
     fd = (act.apply(u + step) - act.apply(u - step)) / (2 * step)
     npt.assert_allclose(act.deriv(act.apply(u)), fd, rtol=1e-6, atol=1e-9)
@@ -54,10 +50,6 @@ def test_project_tanh_clips():
 
 def test_project_sigmoid_lower_clip():
     npt.assert_allclose(SIGMOID.project(np.array([-0.2]), 1e-3), [0.001], atol=1e-15)
-
-
-def test_project_relu_lower_clip():
-    npt.assert_allclose(RELU.project(np.array([-3.0, 0.5]), 1e-3), [1e-3, 0.5], atol=1e-15)
 
 
 def test_identity_project_is_noop():
@@ -81,7 +73,7 @@ def test_inverse_near_clip_matches_reference_value():
 def test_inverse_out_of_range_raises():
     # inputs outside the projected range are read at their projection: the
     # values are finite and the same bits as at project(v)
-    cases = ((TANH, [0.9999, 1.0, -1.0]), (SIGMOID, [-0.1, 0.0, 1.0]), (RELU, [0.0]))
+    cases = ((TANH, [0.9999, 1.0, -1.0]), (SIGMOID, [-0.1, 0.0, 1.0]))
     for act, values in cases:
         v = np.array(values)
         pv = act.project(v, 1e-3)
@@ -140,6 +132,7 @@ def test_projection_idempotent_and_nonexpansive(name, data):
 
 
 def test_get_activation_rejects_unknown():
-    with pytest.raises(ValueError):
-        get_activation("swish")
+    for name in ("swish", "relu"):
+        with pytest.raises(ValueError, match=r"expected one of \['identity', 'sigmoid', 'tanh'\]"):
+            get_activation(name)
     assert get_activation("tanh") is TANH

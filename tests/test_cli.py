@@ -1,12 +1,15 @@
 import argparse
 import dataclasses
+import re
+import shlex
 import struct
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tprop import tasks, trainer
+from tprop import trainer
 from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _add_config_flags, _config_from_args,
                        bench_point, build_parser, main, write_heatmap_svg)
 
@@ -26,43 +29,34 @@ def write_tiny_idx(root, n=8, h=4, w=4, n_classes=4, seed=0):
 
 
 def test_unknown_command_exits_with_usage_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == EXIT_USAGE
+    # gen-data and --tp-momentum are gone: a command and a flag no parser knows
+    for argv in (["frobnicate"], ["gen-data"], ["train", "--tp-momentum"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
 
 
 def test_missing_required_flag_exits_with_usage_code():
     with pytest.raises(SystemExit) as exc:
-        main(["gen-data"])  # --out is required
+        main(["grid", "--r-grid", "1"])  # --gamma-theta-grid is required
     assert exc.value.code == EXIT_USAGE
 
 
-def test_gen_data_round_trip(tmp_path, capsys):
-    out = tmp_path / "batches.csv"
-    argv = ["gen-data", "--task", "adding", "--T", "20", "--batch", "5",
-            "--n", "3", "--seed", "9", "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    assert "wrote 3 adding batches" in capsys.readouterr().out
-    batches = tasks.load_batches_csv(str(out))
-    assert len(batches) == 3
-    for b in batches:
-        assert b.inputs.shape == (20, 2, 5)
-        assert b.labels.shape == (5,)
-    # same seed, same bytes
-    out2 = tmp_path / "again.csv"
-    main(["gen-data", "--task", "adding", "--T", "20", "--batch", "5",
-          "--n", "3", "--seed", "9", "--out", str(out2)])
-    assert out.read_bytes() == out2.read_bytes()
-
-
-def test_gen_data_rejects_a_bad_setting_before_writing(tmp_path, capsys):
-    out = tmp_path / "batches.csv"
-    for bad, named in ((["--seed", "-1"], "seed"), (["--batch", "0"], "batch"),
-                       (["--task", "pixels"], "pixels"), (["--n", "0"], "--n"),
-                       (["--T", "5"], "T >= 10")):
-        assert main(["gen-data", *bad, "--out", str(out)]) == EXIT_USAGE
-        assert named in capsys.readouterr().err
-        assert not out.exists()
+def test_every_readme_command_line_parses():
+    # only parsed, never run: a removed command or flag cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["tprop"]:
+                commands.append(words[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: tprop {shlex.join(argv)}")
 
 
 def test_every_command_declares_its_settings_as_config_fields():
@@ -82,7 +76,7 @@ def test_every_command_declares_its_settings_as_config_fields():
                                       want.default, type(want)), (name, action.dest)
             assert action.help == fields[action.dest].metadata["help"], (name, action.dest)
             with_settings.add(name)
-    assert with_settings == {"gen-data", "train", "grid", "bench"}
+    assert with_settings == {"train", "grid", "bench"}
     assert _config_from_args(build_parser().parse_args(["bench"])).batch == 20
 
 
@@ -171,9 +165,10 @@ def test_every_setting_reads_the_same_as_flag_config_line_and_field(fld, tmp_pat
 
 
 def test_train_rejects_a_value_outside_the_choices():
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--activation", "softsign"])
-    assert exc.value.code == EXIT_USAGE
+    for name in ("softsign", "relu"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--activation", name])
+        assert exc.value.code == EXIT_USAGE, name
 
 
 def test_train_pixels_missing_dataset(tmp_path, capsys, monkeypatch):
@@ -366,12 +361,14 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
 
 
 def test_bench_rejects_a_negative_seed(tmp_path, capsys):
+    # a zero batch too: each exits before any timing or writing and names the setting
     out = tmp_path / "bench.csv"
-    argv = ["bench", "--seed", "-1", "--tau-grid", "5", "--p-grid", "3", "--reps", "1",
-            "--out", str(out)]
-    assert main(argv) == EXIT_USAGE
-    assert "seed" in capsys.readouterr().err
-    assert not out.exists()
+    for bad, named in ((["--seed", "-1"], "seed"), (["--batch", "0"], "batch")):
+        argv = ["bench", *bad, "--tau-grid", "5", "--p-grid", "3", "--reps", "1",
+                "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bench_csv_counts_inversions(tmp_path, capsys):

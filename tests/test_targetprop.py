@@ -341,8 +341,14 @@ def test_tphyper_rejects_unknown_variant():
     ("gamma_h", float("inf")),
 ])
 def test_tphyper_rejects_bad_margin_and_target_stepsize(field, value):
-    # Outside these ranges every rule returns non-finite directions (and
-    # relu's inverse derivative at eps = 0 is 1 / 0), so the hyperparameters
-    # are refused when they are built.
+    # Outside these ranges every rule returns non-finite directions, so the
+    # hyperparameters are refused when they are built.
     with pytest.raises(ValueError, match=field):
         hyper(**{field: value})
+
+
+@pytest.mark.parametrize("r", [-1.0, float("nan"), float("inf")])
+def test_tphyper_rejects_a_bad_ridge_coefficient(r):
+    # refused when built, not inside the first backward pass's ridge_pinv
+    with pytest.raises(ValueError, match=r"^r must be finite and >= 0"):
+        hyper(r=r)

@@ -15,13 +15,11 @@ from tprop.tasks import (
     TruncatedFile,
     adding_accuracy,
     classification_accuracy,
-    dump_batches_csv,
     epoch_indices,
     fixed_permutation,
     gen_adding,
     gen_temporal_order,
     image_batch,
-    load_batches_csv,
     load_idx,
 )
 
@@ -306,18 +304,6 @@ def test_epoch_indices_rejects_batch_larger_than_n():
     # batch == n: every slice is a whole epoch
     chunks = list(islice(epoch_indices(10, 10, rng), 2))
     assert all(sorted(c) == list(range(10)) for c in chunks)
-
-
-def test_batches_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    batches = [gen_adding(12, 3, rng) for _ in range(2)]
-    path = tmp_path / "batches.csv"
-    dump_batches_csv(str(path), batches)
-    loaded = load_batches_csv(str(path))
-    assert len(loaded) == 2
-    for a, b in zip(batches, loaded):
-        npt.assert_allclose(a.inputs, b.inputs, atol=0)
-        npt.assert_allclose(a.labels, b.labels, atol=0)
 
 
 @given(T=st.integers(min_value=10, max_value=80), seed=st.integers(min_value=0, max_value=999))

@@ -141,31 +141,6 @@ def test_one_tp_iteration_applies_direction_exactly():
         assert tensor.tobytes() == want.tobytes(), name
 
 
-def test_tp_momentum_steps_nesterov_on_negated_tp_direction():
-    cfg = small_config(iters=2, tp_momentum=True)
-    init = fresh_model(cfg)
-    _, s_data, _ = np.random.SeedSequence(cfg.seed).spawn(3)
-    task, rng = build_task(cfg), np.random.default_rng(s_data)
-    hyper = TpHyper(gamma_h=cfg.gamma_h, gamma_theta=cfg.gamma_theta, r=cfg.r,
-                    epsilon=cfg.epsilon)
-    want = copy.deepcopy(init)
-    theta = want.tensors()
-    velocity = {k: np.zeros_like(v) for k, v in theta.items()}
-    for _ in range(cfg.iters):
-        batch = task.sample(rng)
-        d = tp_direction(want, rnn.forward(want, batch.inputs), batch.labels, hyper)
-        nesterov_step(theta, velocity, {k: -v for k, v in d.items()},
-                      cfg.gamma_theta, cfg.momentum)
-    res = train(cfg, params=copy.deepcopy(init))
-    for name, tensor in res.params.tensors().items():
-        assert tensor.tobytes() == theta[name].tobytes(), name
-    # the first step already moves by (1 + momentum) gamma_theta d, so the
-    # runs part from the second iteration's loss on
-    plain = train(dataclasses.replace(cfg, tp_momentum=False), params=copy.deepcopy(init))
-    assert res.log.losses[0] == plain.log.losses[0]
-    assert res.log.losses[1] != plain.log.losses[1]
-
-
 def test_divergence_truncates_log_with_marker():
     # MSE blows up multiplicatively under a huge stepsize; CE on tanh would not
     cfg = small_config(task="adding", T=12, method="bp", gamma=1e8, iters=300, momentum=0.0)
@@ -292,9 +267,10 @@ def test_a_failing_replace_leaves_the_old_files_intact(tmp_path, monkeypatch):
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("task = temporal-order\nwarp_factor = 9\n")
-    with pytest.raises(ParseError):
-        load_config(str(path))
+    for key in ("warp_factor = 9", "tp_momentum = true"):
+        path.write_text(f"task = temporal-order\n{key}\n")
+        with pytest.raises(ParseError, match=f"bad.cfg:2: unknown key {key.split()[0]!r}"):
+            load_config(str(path))
 
 
 def test_config_rejects_a_key_given_twice(tmp_path):
