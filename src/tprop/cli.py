@@ -3,7 +3,7 @@
 Subcommands: train (one run with metrics and a reproducible config
 snapshot), grid (stepsize/regularization sweep into a CSV and an SVG
 heatmap), check (named diagnostic suites as a pass/fail CSV table), bench
-(per-iteration timing of the two backward passes of the RNN or the GRU),
+(per-iteration timing of every training method of the RNN or the GRU),
 plot (metrics CSVs into a self-contained SVG).
 
 This module is argument plumbing and output writers only: settings, tasks,
@@ -266,11 +266,11 @@ _BENCH_TASK = types.SimpleNamespace(d=4, n_out=4, output_kind=rnn.SOFTMAX_CE)
 
 
 def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
-    """Median per-iteration wall time of forward + backward for bp and tp
-    of one model at one (tau, p), plus inversions per call. Every round
-    times bp and then tp, so a slow spell of the host lands on both; 3
-    warm-up rounds go untimed. The GRU's methods are named gru-bp and
-    gru-tp."""
+    """Median per-iteration wall time of forward + backward for every
+    method of one model at one (tau, p), plus inversions per call: bp, tp,
+    tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for the GRU. Every
+    round times each method in that order, so a slow spell of the host
+    lands on all of them; 3 warm-up rounds go untimed."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
     y = rng.integers(0, _BENCH_TASK.n_out, size=batch)
@@ -278,9 +278,16 @@ def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: s
     params = trainer.init_model(trainer.ExperimentConfig(model=model, hidden=p),
                                 _BENCH_TASK, seed)
     forward, bptt, tp_backward = trainer.cell_passes(params)
+
+    def backward_of(method):
+        if method == trainer.BP:
+            return bptt
+        tp_hyper = dataclasses.replace(hyper, variant=trainer._VARIANT_OF[method])
+        return lambda *a: tp_backward(*a, tp_hyper)
+
     prefix = "" if model == "rnn" else f"{model}-"
-    backward = {prefix + trainer.BP: bptt,
-                prefix + trainer.TP: lambda *a: tp_backward(*a, hyper)}
+    methods = trainer.METHODS if model == "rnn" else trainer._GRU_METHODS
+    backward = {prefix + method: backward_of(method) for method in methods}
     times = {method: [] for method in backward}
     inversions = dict.fromkeys(backward, 0)
     for rnd in range(-3, reps):
@@ -377,7 +384,7 @@ def build_parser() -> _Parser:
                    choices=sorted(diagnostics.SUITES) + ["all"])
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="per-iteration timing of bp vs tp")
+    p = sub.add_parser("bench", help="per-iteration timing of every training method")
     _add_config_flags(p, ("model", "batch", "seed"))
     p.add_argument("--tau-grid", dest="tau_grid", default="50,784")
     p.add_argument("--p-grid", dest="p_grid", default="100")

@@ -16,6 +16,19 @@ finite; the activation applies it inside its inverse. V is computed once
 per backward pass, whatever the sequence length, which is what makes the
 method cheap; the factorization counter in :mod:`tprop.linalg` lets tests
 pin that down.
+
+Past that one factorization, every rule does a BPTT step's work per step:
+one GEMM, with V where BPTT has W_hh^T, plus the pointwise work below. Each
+rule forms what it needs for a block of steps at once, in one block buffer.
+
+- linearized: one product S_t * lam, S_t = (a^{-1})'(proj(h_t)). For tanh
+  and identity, S_t is 1 / max(a'(u_t), a'(1 - eps)), read off the a'(u_t)
+  block the sweep forms anyway; sigmoid takes ``inv_deriv`` per block.
+- finite difference: one a^{-1}(proj(h_t + lam)) less the block's
+  a^{-1}(proj(h_t)). W_xh x_t + b_h cancels between the two inverses, so
+  it is never formed.
+- exact inverse: one a^{-1}(proj(h_t + lam)) less W_xh x_t + b_h, whose
+  products the block forms at once, as the rollout does.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rnn
+from .activations import Activation, Identity, Tanh
 
 LINEARIZED = "linearized"
 FINITE_DIFFERENCE = "finite_difference"
@@ -83,31 +97,64 @@ def inverse_apply(
     return V @ (z - rnn._project(params.W_xh, x_t) - params.b_h[:, None])
 
 
+def _deriv_floor(act: Activation, eps: float):
+    """The floor that ``project`` puts under a'(h), or None. Where a'(h)
+    falls with |h| and both clip ends give it one value, as for tanh
+    (1 - h h, whose rounding is monotone too) and identity (1), clipping
+    h is flooring a'(h), so 1 / max(a'(h), floor) is
+    ``act.inv_deriv(h, eps)`` bit for bit. Sigmoid's ends eps and 1 - eps
+    give two floors (1 - (1 - eps) != eps in float), so it has none."""
+    if isinstance(act, (Tanh, Identity)):
+        return act.deriv(act.projected_range(eps)[1])
+    return None
+
+
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
     """The displacement step lam_{t+1} -> lam_t of one variant, as the
     per-block factory ``propagate(lo, hi, es) -> step(i, lam)`` of
-    :func:`rnn._sweep` (t = lo + i). Each rule forms its factors for the
-    block's steps at once, so they are block-sized and live with the block."""
-    hs, xs = cache.hs, cache.xs
+    :func:`rnn._sweep` (t = lo + i); the module docstring gives each
+    rule's work per block and per step."""
+    hs, xs, act = cache.hs, cache.xs, params.activation
     if variant == LINEARIZED:
         # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
         # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop
+        floor = _deriv_floor(act, eps)
+
         def linearized(lo, hi, es):
-            S = params.activation.inv_deriv(hs[lo + 1:hi + 1], eps)
-            return lambda i, lam: V @ (S[i] * lam)
+            if floor is None:
+                S = act.inv_deriv(hs[lo + 1:hi + 1], eps)
+            else:  # from es = a'(u_t), before the sweep overwrites it
+                S = np.maximum(es, floor)
+                np.divide(1.0, S, out=S)
+
+            def step(i, lam):
+                s = S[i]
+                s *= lam  # in place: S[i] is read once
+                return V @ s
+            return step
         return linearized
 
-    # The displacement at h_{t-1} is f^{-1}(v_t) less a reference point: h_{t-1}
-    # for the exact inverse (v_{t-1} = f^{-1}(v_t)), f^{-1}(h_t) for finite
-    # differences (v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), which
-    # corrects the inverse's reconstruction error).
-    def inverse_difference(lo, hi, es):
-        ref = (inverse_apply(params, V, xs[lo:hi], hs[lo + 1:hi + 1], eps)
-               if variant == FINITE_DIFFERENCE else hs[lo:hi])
+    # The displacement at h_{t-1} is f^{-1}(v_t) less a reference point, with
+    # f^{-1}(v) = V (a^{-1}(proj(v)) - W_xh x_t - b_h). Finite differences
+    # take f^{-1}(h_t) (v_{t-1} = h_{t-1} + f^{-1}(v_t) - f^{-1}(h_t), which
+    # corrects the inverse's reconstruction error), where W_xh x_t + b_h
+    # cancels: the step is V (a^{-1}(proj(h_t + lam)) - a^{-1}(proj(h_t))).
+    if variant == FINITE_DIFFERENCE:
+        def finite_difference(lo, hi, es):
+            base = act.inverse(hs[lo + 1:hi + 1], eps)
+            return lambda i, lam: V @ (act.inverse(hs[lo + i + 1] + lam, eps) - base[i])
+        return finite_difference
+
+    # The exact inverse takes h_{t-1} (v_{t-1} = f^{-1}(v_t)), subtracting
+    # in inverse_apply's order (a^{-1}(proj(v)) - W_xh x_t) - b_h.
+    b_h = params.b_h[:, None]
+
+    def exact_inverse(lo, hi, es):
+        xw = rnn._project(params.W_xh, xs[lo:hi])
         return lambda i, lam: (
-            inverse_apply(params, V, xs[lo + i], hs[lo + i + 1] + lam, eps) - ref[i])
-    return inverse_difference
+            V @ (act.inverse(hs[lo + i + 1] + lam, eps) - xw[i] - b_h) - hs[lo + i])
+    return exact_inverse
 
 
 def tp_direction(

@@ -27,6 +27,7 @@ TP = "tp"
 TP_DTP = "tp-dtp"
 TP_EXACT = "tp-exact"
 METHODS = (BP, TP, TP_DTP, TP_EXACT)
+_GRU_METHODS = (BP, TP)  # the GRU has the linearized TP rule only
 
 TASKS = (tasks.TEMPORAL_ORDER, tasks.ADDING, "pixels")
 
@@ -97,7 +98,7 @@ class ExperimentConfig:
             value = getattr(self, fld.name)
             if fld.metadata["choices"] and value not in fld.metadata["choices"]:
                 raise ConfigError(f"unknown {fld.name} {value!r}")
-        if self.model == "gru" and self.method != BP and self.method != TP:
+        if self.model == "gru" and self.method not in _GRU_METHODS:
             raise ConfigError("gru supports methods bp and tp only")
         if self.hidden < 1 or self.batch < 1 or self.iters < 1:
             raise ConfigError("hidden, batch and iters must be positive")

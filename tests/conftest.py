@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,3 +16,22 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs a second time; the
+    first, untraced run loads what is imported lazily (numpy.random), so
+    one-time import allocations are not counted. Arrays made before the
+    traced run are not counted either."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -346,18 +346,21 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
             return bptt(*args)
 
         def tp(*args):
-            calls.append("tp")
+            calls.append(args[-1].variant)  # the TpHyper
             return tp_backward(*args)
 
         return forward, bp, tp
 
     monkeypatch.setattr(trainer, "cell_passes", recording)
-    for model, names in (("rnn", ["bp", "tp"]), ("gru", ["gru-bp", "gru-tp"])):
+    rnn_round = ["bp", "linearized", "finite_difference", "exact_inverse"]
+    for model, names, order, inv in (
+            ("rnn", ["bp", "tp", "tp-dtp", "tp-exact"], rnn_round, [0, 1, 1, 1]),
+            ("gru", ["gru-bp", "gru-tp"], ["bp", "linearized"], [0, 3])):
         calls.clear()
         rows = bench_point(5, 4, 2, reps=4, model=model)
-        assert calls == ["bp", "tp"] * (3 + 4), model  # 3 warm-up rounds, then 4 timed
+        assert calls == order * (3 + 4), model  # 3 warm-up rounds, then 4 timed
         assert [method for _, _, method, _, _ in rows] == names
-        assert [inv for *_, inv in rows] == [0, 1 if model == "rnn" else 3]
+        assert [inv for *_, inv in rows] == inv
 
 
 def test_bench_rejects_a_negative_seed(tmp_path, capsys):
@@ -379,10 +382,11 @@ def test_bench_csv_counts_inversions(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "tau,p,method,ms_per_iter,inversions"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 4  # two taus, two methods
+    assert [(tau, method) for tau, _, method, _, _ in rows] == [
+        (tau, method) for tau in ("5", "10") for method in ("bp", "tp", "tp-dtp", "tp-exact")]
     for tau, p, method, ms, inversions in rows:
         assert float(ms) > 0.0
-        assert int(inversions) == (1 if method == "tp" else 0)
+        assert int(inversions) == (0 if method == "bp" else 1)
     assert capsys.readouterr().out.startswith("tau,p,method")
 
 

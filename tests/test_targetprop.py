@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tprop import rnn
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count, ridge_pinv
 from tprop.rnn import (
@@ -19,6 +20,7 @@ from tprop.targetprop import (
     FINITE_DIFFERENCE,
     LINEARIZED,
     TpHyper,
+    _deriv_floor,
     inverse_apply,
     tp_direction,
 )
@@ -163,7 +165,7 @@ def test_sweep_matches_per_step_reference(rng, rule):
         y = rng.integers(0, 4, size=5)
         hy = hyper(variant=LINEARIZED if rule in ("bp", "debug") else rule)
         V = ridge_pinv(params.W_hh, hy.r)
-        eps = hy.epsilon
+        eps, act = hy.epsilon, params.activation
         g_tau = params.W_hy.T @ output_delta(y, cache)
 
         def transposed_jacobian(t, lam, e):
@@ -177,8 +179,10 @@ def test_sweep_matches_per_step_reference(rng, rule):
             "debug": transposed_jacobian,
             LINEARIZED: lambda t, lam, e: inverse_jacobian_T_apply(
                 params, V, cache.hs[t + 1], lam, eps),
-            FINITE_DIFFERENCE: lambda t, lam, e: (
-                inv(t, cache.hs[t + 1] + lam) - inv(t, cache.hs[t + 1])),
+            # inv(t, h + lam) - inv(t, h) with the arguments differenced
+            # first: W_xh x_t + b_h cancels, one product with V remains
+            FINITE_DIFFERENCE: lambda t, lam, e: V @ (
+                act.inverse(cache.hs[t + 1] + lam, eps) - act.inverse(cache.hs[t + 1], eps)),
             EXACT_INVERSE: lambda t, lam, e: inv(t, cache.hs[t + 1] + lam) - cache.hs[t],
         }
         if rule == "bp":
@@ -192,6 +196,130 @@ def test_sweep_matches_per_step_reference(rng, rule):
         for name in THETA_H:
             npt.assert_allclose(got[name], want[name], rtol=1e-12,
                                 atol=1e-15 * np.abs(want[name]).max(), err_msg=(tau, name))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _saturated_case(gen, activation, d=2, p=6):
+    """A small random RNN, a cache and labels, with input weights scaled up
+    so that many states reach the projection's clip."""
+    tau, B = int(gen.integers(2, 30)), int(gen.integers(1, 6))
+    params = init_params(p, d, 3, activation=activation, seed=int(gen.integers(1 << 30)))
+    params.W_xh *= 3.0
+    params.b_h[:] = gen.standard_normal(p)
+    cache = forward(params, 2.0 * gen.standard_normal((tau, d, B)))
+    return params, cache, gen.integers(0, 3, size=B)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_deriv_floor_reproduces_inv_deriv_bit_for_bit(name):
+    # The linearized rule forms 1 / max(a'(h), floor) in place of
+    # inv_deriv(h, eps) = 1 / a'(proj(h)) wherever a floor exists; sigmoid's
+    # two clip ends give two floors, so it keeps inv_deriv.
+    act = ACTIVATIONS[name]
+    gen = np.random.default_rng(1)
+    for eps in (1e-3, 1e-2, 0.3, 0.49):
+        floor = _deriv_floor(act, eps)
+        assert (floor is None) == (name == "sigmoid")
+        if floor is None:
+            continue
+        edge = 1.0 - eps
+        near = np.concatenate([edge + np.arange(-3000, 3001) * np.spacing(edge),
+                               np.linspace(edge - 1e-6, edge + 1e-6, 2001),
+                               np.linspace(edge - 0.05, min(edge + 0.05, 1.0), 2001)])
+        h = np.concatenate([near, -near, gen.uniform(-1.0, 1.0, 20000), [-1.0, 0.0, 1.0]])
+        assert _same_bits(1.0 / np.maximum(act.deriv(h), floor), act.inv_deriv(h, eps)), eps
+
+
+def test_linearized_direction_matches_an_inv_deriv_propagator_bit_for_bit():
+    # The rule reads S_t off the sweep's a'(u_t) block. A propagator that
+    # forms S_t from the states by inv_deriv, as the rule is defined, gives
+    # the same bits, also where the projection clips.
+    gen = np.random.default_rng(2)
+    cases = [("tanh", i) for i in range(120)] + [(n, i) for n in ("identity", "sigmoid")
+                                                 for i in range(20)]
+    for name, i in cases:
+        params, cache, y = _saturated_case(gen, name)
+        hy = hyper(gamma_h=float(gen.choice([1e-3, 1e-2, 0.5])),
+                   epsilon=float(gen.choice([1e-3, 1e-2, 0.3, 0.49])))
+        V = ridge_pinv(params.W_hh, hy.r)
+        act, hs = params.activation, cache.hs
+        if name == "tanh":
+            assert np.any(act.project(hs[1:], hy.epsilon) != hs[1:]), i  # the clip is active
+
+        def by_inv_deriv(lo, hi, es):
+            S = act.inv_deriv(hs[lo + 1:hi + 1], hy.epsilon)
+            return lambda j, lam: V @ (S[j] * lam)
+
+        want = rnn._backward(params, cache, y, rnn._sweep, by_inv_deriv, hy.gamma_h)
+        got = tp_direction(params, cache, y, hy)
+        for k in want:
+            assert _same_bits(got[k], want[k]), (name, i, k)
+
+
+def test_finite_difference_stays_within_1e_10_of_two_inverse_applications():
+    # The rule differences a^{-1}(proj(.)) before its one product with V, so
+    # W_xh x_t + b_h, which cancels, is never formed. That reorders float64
+    # arithmetic against differencing two applications of inverse_apply.
+    gen = np.random.default_rng(3)
+    for i in range(60):
+        name = ("tanh", "sigmoid")[i % 2]
+        params, cache, y = _saturated_case(gen, name, d=(1, 3)[i // 2 % 2])
+        hy = hyper(gamma_h=float(gen.choice([1e-3, 1e-2, 0.1])), variant=FINITE_DIFFERENCE,
+                   epsilon=float(gen.choice([1e-3, 1e-2, 0.3])))
+        V = ridge_pinv(params.W_hh, hy.r)
+        xs, hs, eps = cache.xs, cache.hs, hy.epsilon
+
+        def two_inverses(lo, hi, es):
+            ref = inverse_apply(params, V, xs[lo:hi], hs[lo + 1:hi + 1], eps)
+            return lambda j, lam: (
+                inverse_apply(params, V, xs[lo + j], hs[lo + j + 1] + lam, eps) - ref[j])
+
+        want = rnn._backward(params, cache, y, rnn._sweep, two_inverses, hy.gamma_h)
+        got = tp_direction(params, cache, y, hy)
+        for k in THETA_H:
+            gap = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+            assert gap <= 1e-10, (name, i, k, gap)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_exact_inverse_with_hoisted_projections_keeps_every_bit(d):
+    # The rule forms a block's W_xh x_t at once; stepping through
+    # inverse_apply, which projects one step's inputs, gives the same bits.
+    gen = np.random.default_rng(4 + d)
+    for i in range(30):
+        params, cache, y = _saturated_case(gen, ("tanh", "sigmoid", "identity")[i % 3], d=d)
+        hy = hyper(gamma_h=float(gen.choice([1e-3, 1e-2, 0.1])), variant=EXACT_INVERSE,
+                   epsilon=float(gen.choice([1e-3, 1e-2, 0.3])))
+        V = ridge_pinv(params.W_hh, hy.r)
+        xs, hs, eps = cache.xs, cache.hs, hy.epsilon
+
+        def per_step(lo, hi, es):
+            return lambda j, lam: (
+                inverse_apply(params, V, xs[lo + j], hs[lo + j + 1] + lam, eps) - hs[lo + j])
+
+        want = rnn._backward(params, cache, y, rnn._sweep, per_step, hy.gamma_h)
+        got = tp_direction(params, cache, y, hy)
+        for k in want:
+            assert _same_bits(got[k], want[k]), (i, k)
+
+
+@pytest.mark.parametrize("variant, bound", [
+    (LINEARIZED, 5.0), (FINITE_DIFFERENCE, 7.6), (EXACT_INVERSE, 7.6)])
+def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
+    # Counted in (_BLOCK, p, B) float64 blocks allocated above the params,
+    # inputs and states; bptt peaks near 3.9 of them. The linearized rule
+    # holds one block for S next to the sweep's a' block, where an
+    # inv_deriv call held three more temporaries.
+    p, B = 100, 20
+    params = init_params(p, 1, 4, seed=0)
+    cache = forward(params, rng.standard_normal((60, 1, B)))
+    y = rng.integers(0, 4, size=B)
+    hy = hyper(variant=variant)
+    peak = traced_peak(lambda: tp_direction(params, cache, y, hy))
+    assert peak <= bound * _BLOCK * p * B * 8, peak / (_BLOCK * p * B * 8)
 
 
 def test_backward_targets_equivalence_in_linear_orthogonal_regime(rng):

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -392,21 +391,8 @@ def test_train_reaches_forward_and_backward_through_their_modules(monkeypatch):
         assert counts == want, (model, method)
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc while fn runs a second time; the
-    first, untraced run loads what is imported lazily (numpy.random), so
-    one-time import allocations are not counted."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("model", ["rnn", "gru"])
-def test_evaluate_memory_does_not_grow_with_sequence_length(model):
+def test_evaluate_memory_does_not_grow_with_sequence_length(model, traced_peak):
     # A training rollout stores at most one (tau, p, B) stack of states
     # (the RNN's; the GRU keeps one per block). Prediction needs only the
     # running state.
@@ -414,11 +400,11 @@ def test_evaluate_memory_does_not_grow_with_sequence_length(model):
     task = build_task(cfg)
     params = init_model(cfg, task, seed=0)
     stack = cfg.T * cfg.hidden * cfg.batch * 8
-    peak = _traced_peak(lambda: evaluate(params, task, 1, np.random.default_rng(0)))
+    peak = traced_peak(lambda: evaluate(params, task, 1, np.random.default_rng(0)))
     assert peak < stack, (peak, stack)
 
 
-def test_train_keeps_one_gru_rollout_live():
+def test_train_keeps_one_gru_rollout_live(traced_peak):
     # A GRU rollout keeps h_t at the block edges only, 1/_BLOCK of a stack;
     # the backward re-runs one block at a time into block-sized buffers,
     # and the previous iteration's cache must be released before the next
@@ -427,18 +413,18 @@ def test_train_keeps_one_gru_rollout_live():
         for method in ("bp", "tp"):
             cfg = small_config(model="gru", method=method, T=T, hidden=64, batch=32, iters=2)
             stack = cfg.T * cfg.hidden * cfg.batch * 8
-            peak = _traced_peak(lambda: train(cfg))
+            peak = traced_peak(lambda: train(cfg))
             assert peak < bound * stack, (T, method, peak / stack)
 
 
 @pytest.mark.parametrize("method", ["bp", "tp", "tp-dtp", "tp-exact"])
-def test_train_rnn_peak_below_bound(method):
+def test_train_rnn_peak_below_bound(method, traced_peak):
     # The RNN rollout keeps only its states, and a'(u_t) is read from them.
     # The sweep holds one block of errors and the block's flattened copies
     # at a time; no rule stacks anything over the whole time axis.
     cfg = small_config(method=method, T=200, hidden=64, batch=32, iters=2)
     stack = cfg.T * cfg.hidden * cfg.batch * 8
-    peak = _traced_peak(lambda: train(cfg))
+    peak = traced_peak(lambda: train(cfg))
     assert peak < 2.0 * stack, peak / stack
 
 
@@ -477,13 +463,13 @@ def write_idx_set(directory, n_train, n_test, rng) -> int:
 
 
 @pytest.mark.parametrize("model", ["rnn", "gru"])
-def test_train_keeps_pixel_images_as_bytes(tmp_path, model):
+def test_train_keeps_pixel_images_as_bytes(tmp_path, model, traced_peak):
     # The image store is the files' uint8 pixels; only a batch is scaled to
     # float64. A float32 store alone would be 4x the image bytes.
     raw = write_idx_set(tmp_path, 3000, 250, np.random.default_rng(0))
     cfg = small_config(task="pixels", k=1, data_dir=str(tmp_path), model=model, iters=2)
     stack = (784 + 1) * cfg.hidden * cfg.batch * 8
-    peak = _traced_peak(lambda: train(cfg))
+    peak = traced_peak(lambda: train(cfg))
     assert peak < 1.5 * raw + stack, (peak / raw, stack / raw)
 
 
