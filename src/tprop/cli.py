@@ -374,7 +374,8 @@ def build_parser() -> _Parser:
                    help="comma-separated gamma_theta values")
     p.add_argument("--r-grid", dest="r_grid", required=True,
                    help="comma-separated r values")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that train cells, this one included; at most one per cell")
     p.add_argument("--out-csv", dest="out_csv", default="grid.csv")
     p.add_argument("--out-svg", dest="out_svg", default="grid.svg")
     p.set_defaults(func=cmd_grid)

@@ -308,6 +308,7 @@ def _sweep(params: RnnParams, cache: ForwardCache, signal: np.ndarray,
         d["W_xh"] += E @ _flat(cache.xs[lo:hi]).T
         d["W_hh"] += E @ _flat(cache.hs[lo:hi]).T
         d["b_h"] += E.sum(axis=1)
+        E = None  # free the errors before the next block's a' block is formed
     return d
 
 

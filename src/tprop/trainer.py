@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gru as gru_mod
-from . import rnn, targetprop, tasks
+from . import fanout, rnn, targetprop, tasks
 from .activations import ACTIVATIONS
 from .linalg import SingularSystem
 
@@ -483,8 +483,13 @@ def grid_search(
     Every other setting, gamma_h included, comes from ``base`` and is the
     same in every cell; each cell trains for ``horizon`` iterations from the
     same seed. Diverged cells get area nan. Every cell's config is checked
-    before the first one trains. Cells are independent runs, so jobs > 1
-    fans them out over processes.
+    before the first one trains. Cells are independent runs, so ``jobs``
+    processes, at most one per cell, share them out: this process trains
+    ``runs[0::jobs]`` and ``jobs - 1`` workers forked with ``os.fork``
+    (POSIX only) train ``runs[w::jobs]``. The cells come back in serial
+    order, bit for bit what ``jobs=1`` returns. A worker's exception is
+    re-raised here with its own type. ``linalg.factorization_count()`` in
+    this process counts the factorizations of this process's own cells.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -493,9 +498,4 @@ def grid_search(
             for gt in gamma_theta_grid for r in r_grid]
     for run in runs:
         run.validate()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_grid_run, runs))
-    return [_grid_run(run) for run in runs]
+    return fanout.fork_map(_grid_run, runs, jobs)

@@ -17,9 +17,14 @@ def _env_with_src():
 
 
 def test_import_loads_no_scipy():
-    # nor the process-pool machinery, which only grid_search(jobs > 1) needs
+    # nor process-pool machinery: grid_search(jobs > 1) forks its workers
+    # with os.fork, so a two-process grid loads no multiprocessing either
     env = _env_with_src()
-    code = ("import sys, tprop; print(sorted(m for m in sys.modules if m.split('.')[0] in"
+    code = ("import sys, tprop\n"
+            "cfg = tprop.ExperimentConfig(T=10, hidden=4, batch=2, eval_every=0)\n"
+            "cells = tprop.grid_search(cfg, [0.05, 0.1], [1.0], horizon=2, jobs=2)\n"
+            "assert len(cells) == 2\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in"
             " ('scipy', 'multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -190,18 +190,55 @@ def test_grid_search_checks_every_cell_before_the_first_trains(monkeypatch):
 
 
 def test_grid_search_parallel_jobs_match_serial():
-    cfg = small_config(iters=5)
-    serial = grid_search(cfg, [0.05, 0.1], [0.5, 1.0], horizon=5, jobs=1)
-    parallel = grid_search(cfg, [0.05, 0.1], [0.5, 1.0], horizon=5, jobs=2)
+    # 4 jobs split the 6 cells unevenly, 8 is more than the cells; r=0 at
+    # gamma_theta=1 diverges
+    args = (small_config(T=20, hidden=16), [0.05, 1.0], [0.0, 0.5, 1.0])
+    serial = grid_search(*args, horizon=40, jobs=1)
+    assert [(c.gamma_theta, c.r) for c in serial] == [
+        (gt, r) for gt in args[1] for r in args[2]]
+    assert any(c.diverged and np.isnan(c.area) for c in serial)
+    assert not all(c.diverged for c in serial)
+    for jobs in (2, 4, 8):
+        parallel = grid_search(*args, horizon=40, jobs=jobs)
+        for a, b in zip(serial, parallel, strict=True):
+            assert (a.gamma_theta, a.r, a.diverged) == (b.gamma_theta, b.r, b.diverged)
+            assert np.float64(a.area).tobytes() == np.float64(b.area).tobytes()
+    assert grid_search(args[0], [], [1.0], horizon=40, jobs=4) == []
 
-    def key(c):
-        return (c.gamma_theta, c.r)
 
-    for a, b in zip(sorted(serial, key=key), sorted(parallel, key=key)):
-        assert a.gamma_theta == b.gamma_theta and a.r == b.r
-        assert a.diverged == b.diverged
-        if not a.diverged:
-            npt.assert_allclose(a.area, b.area, rtol=1e-12)
+class _CellFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("share", ["worker", "caller"])
+def test_grid_search_reraises_a_cell_error_and_leaves_no_worker_or_pipe(monkeypatch, share):
+    # with jobs=2 this process trains cell 0 (gamma_theta 0.05) and the
+    # forked worker, which inherits the patch, trains cell 1 (0.1)
+    bad = 0.1 if share == "worker" else 0.05
+    real_train = trainer.train
+
+    def train_or_fail(cfg):
+        if cfg.gamma_theta == bad:
+            raise _CellFailed(f"cell {cfg.gamma_theta} failed")
+        return real_train(cfg)
+
+    monkeypatch.setattr(trainer, "train", train_or_fail)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(_CellFailed, match=f"cell {bad} failed"):
+        grid_search(small_config(), [0.05, 0.1], [1.0], horizon=3, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_grid_search_reports_a_worker_that_dies(monkeypatch):
+    real_train = trainer.train
+    monkeypatch.setattr(trainer, "train", lambda cfg: os._exit(3) if cfg.gamma_theta == 0.1
+                        else real_train(cfg))  # only the worker trains gamma_theta 0.1
+    with pytest.raises(RuntimeError, match="exited with status 3 and sent 0 bytes"):
+        grid_search(small_config(), [0.05, 0.1], [1.0], horizon=3, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_evaluate_zeroed_model_at_chance():
