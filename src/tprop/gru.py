@@ -16,7 +16,7 @@ three matrix factorizations (for W_hm, W_hz, W_hn), independent of sequence
 length. Parameter directions use the true parameter Jacobians, and the output
 head keeps its plain gradient.
 
-A rollout keeps h_t only at the edges of the backward sweep's blocks of
+A rollout keeps h_t only at the edges of the backward pass's blocks of
 C = ``rnn._BLOCK`` steps: t = 0 and t = tau - kC, ceil(tau / C) + 1 states,
 the last of them h_tau (Gruslys et al. 2016 checkpoint the same way). The
 backward passes re-run each block from its edge state with the forward's
@@ -159,27 +159,17 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
     )
 
 
-def _sweep(params: GruParams, cache: ForwardCache, signal: np.ndarray, propagate) -> Direction:
-    """One backward pass over the time axis, for BPTT and the TP rule.
-
-    ``signal`` is the (p, B) sensitivity (or displacement) at h_tau. Each
-    block is re-run from its edge state by :func:`_roll`, then walked
-    backwards: step t's preactivation deltas go into the block's ``deltas``
-    and ``propagate(block)(i, dh)`` maps the sensitivity at h_t to the one
-    at h_{t-1}, for t = lo + i > 0. Once the block is left, its deltas are
-    contracted with its inputs and states, one product per group of
-    tensors. The pass holds the edge states and block-sized buffers. The
-    output head is left at zero for the caller.
-    """
-    p, B = signal.shape
+def _blocks(params: GruParams, cache: ForwardCache):
+    """The GRU's blocks for :func:`rnn._backward`: each is re-run from its edge
+    state by :func:`_roll` into one set of block buffers, its ``_Block``; the
+    delta write fills its ``deltas``, and the contraction is one product per
+    group of tensors with the block's inputs and states."""
+    p, B = cache.hs.shape[1:]
     C = rnn._BLOCK
     buf = _Block(np.empty((C + 1, p, B)), *(np.empty((C, p, B)) for _ in range(4)),
                  np.empty((4, p, C, B)))
-    d = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-    dh = signal
-    edges = rnn._edges(cache.tau)
-    for j in range(len(edges) - 1, 0, -1):
-        lo, hi = edges[j - 1], edges[j]
+
+    def block(j, lo, hi):
         b = _Block(buf.h[:hi - lo + 1], *(a[:hi - lo] for a in buf[1:-1]),
                    buf.deltas[:, :, :hi - lo])
         x = cache.xs[lo:hi]
@@ -189,24 +179,25 @@ def _sweep(params: GruParams, cache: ForwardCache, signal: np.ndarray, propagate
         gz = (b.n - hprev) * b.z * (1.0 - b.z)   # factor from dh_t to zeta_t
         gn = b.z * (1.0 - b.n * b.n)             # from dh_t to nu_t
         gm = b.av * (1.0 - b.m)                  # from the a_t delta to mu_t
-        step = propagate(b)
-        for i in range(hi - lo - 1, -1, -1):
+
+        def local(i, dh):
             da, dzeta, dmu, dnu = b.deltas[:, :, i]
             np.multiply(dh, gn[i], out=dnu)
             np.multiply(dnu, b.m[i], out=da)
             np.multiply(dh, gz[i], out=dzeta)
             np.multiply(da, gm[i], out=dmu)
-            if lo + i > 0:
-                dh = step(i, dh)
-        step = gz = gn = gm = None  # free the block's factors before the next block's
-        D = b.deltas.reshape(4 * p, -1)  # one column per (step, sample), as rnn._flat
-        by_h = (D[:3 * p] @ rnn._flat(hprev).T).reshape(3, p, p)  # deltas of a, z, m
-        by_x = (D[p:] @ rnn._flat(x).T).reshape(3, p, -1)         # deltas of z, m, n
-        for k, g in zip(("W_hn", "W_hz", "W_hm", "W_iz", "W_im", "W_in"), (*by_h, *by_x)):
-            d[k] += g
-        for k, g in zip(("b_hn", "b_z", "b_m", "b_in"), D.sum(axis=1).reshape(4, p)):
-            d[k] += g
-    return d
+
+        def contract(d):
+            D = b.deltas.reshape(4 * p, -1)  # one column per (step, sample), as rnn._flat
+            by_h = (D[:3 * p] @ rnn._flat(hprev).T).reshape(3, p, p)  # deltas of a, z, m
+            by_x = (D[p:] @ rnn._flat(x).T).reshape(3, p, -1)         # deltas of z, m, n
+            for k, g in zip(("W_hn", "W_hz", "W_hm", "W_iz", "W_im", "W_in"), (*by_h, *by_x)):
+                d[k] += g
+            for k, g in zip(("b_hn", "b_z", "b_m", "b_in"), D.sum(axis=1).reshape(4, p)):
+                d[k] += g
+
+        return b, local, contract
+    return block
 
 
 def _transposed_jacobian(params: GruParams):
@@ -214,7 +205,7 @@ def _transposed_jacobian(params: GruParams):
     its three recurrent products as one against the stacked deltas."""
     W_T = np.concatenate((params.W_hn, params.W_hz, params.W_hm)).T
 
-    def per_block(b: _Block):
+    def per_block(lo, hi, b: _Block):
         carry = 1.0 - b.z
         return lambda i, g: carry[i] * g + W_T @ b.deltas[:3, :, i].reshape(-1, g.shape[1])
 
@@ -224,7 +215,7 @@ def _transposed_jacobian(params: GruParams):
 def gru_bptt(params: GruParams, cache: ForwardCache, y) -> Direction:
     """Exact gradient of the batch-mean loss for every parameter tensor."""
     rnn._check_cache(params, cache, len(rnn._edges(cache.tau)))
-    return rnn._backward(params, cache, y, _sweep, _transposed_jacobian(params))
+    return rnn._backward(params, cache, y, _blocks, _transposed_jacobian(params))
 
 
 def _linearized_inverse(Vs, eps: float):
@@ -235,7 +226,7 @@ def _linearized_inverse(Vs, eps: float):
     V = np.concatenate((V_n, V_z, V_m), axis=1)
     logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
 
-    def per_block(b: _Block):
+    def per_block(lo, hi, b: _Block):
         carry = 1.0 - b.z
         kz = logit_deriv(b.z, eps) * (b.n - b.h[:-1])
         km = logit_deriv(b.m, eps) * b.av
@@ -280,4 +271,4 @@ def gru_tp_backward(
         propagate = _transposed_jacobian(params)
     else:
         propagate = _linearized_inverse(Vs, hyper.epsilon)
-    return rnn._backward(params, cache, y, _sweep, propagate, hyper.gamma_h)
+    return rnn._backward(params, cache, y, _blocks, propagate, hyper.gamma_h)

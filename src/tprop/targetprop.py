@@ -113,7 +113,8 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
     """The displacement step lam_{t+1} -> lam_t of one variant, as the
     per-block factory ``propagate(lo, hi, es) -> step(i, lam)`` of
-    :func:`rnn._sweep` (t = lo + i); the module docstring gives each
+    :func:`rnn._backward` (t = lo + i), where es, the RNN block's local
+    factors, is its a'(u_t) buffer; the module docstring gives each
     rule's work per block and per step."""
     hs, xs, act = cache.hs, cache.xs, params.activation
     if variant == LINEARIZED:
@@ -186,7 +187,7 @@ def tp_direction(
         propagate = rnn._transposed_jacobian(params)
     else:
         propagate = _propagator(params, cache, V, hyper.variant, hyper.epsilon)
-    return rnn._backward(params, cache, y, rnn._sweep, propagate, hyper.gamma_h)
+    return rnn._backward(params, cache, y, rnn._blocks, propagate, hyper.gamma_h)
 
 
 backward_targets = tp_direction  # earlier name, still called by perfbench/gate.py

@@ -82,6 +82,14 @@ def test_cache_keeps_one_state_per_block_edge(rng, output_kind):
         assert cache.logits.tobytes() == logits.tobytes(), tau
 
 
+def test_forward_dimension_mismatch():
+    params = init_gru_params(4, 3, 2, seed=0)
+    with pytest.raises(DimensionMismatch):
+        gru_forward(params, np.zeros((5, 7, 2)))
+    with pytest.raises(DimensionMismatch):  # an empty batch has no mean loss
+        gru_forward(params, np.zeros((5, 3, 0)))
+
+
 @pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])
 def test_forward_writes_edge_states_into_out(rng, output_kind):
     params = init_gru_params(6, 3, 2, output_kind=output_kind, seed=15)

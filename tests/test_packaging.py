@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import tprop
@@ -48,3 +49,16 @@ def test_train_help_lists_every_setting():
         assert flag in flags, flag
         if fld.type == "bool":
             assert "--no-" + flag[2:] in flags, flag
+
+
+def test_every_module_stays_below_4096_tokens():
+    # Imported without a bytecode cache, a module is compiled from source,
+    # and past 4096 tokens CPython 3.11's parser doubles its token array,
+    # which raises the peak RSS of every process that imports the module.
+    # Tokens are counted as tokenize yields them, comments and blank lines
+    # aside.
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    for path in sorted(Path(tprop.__file__).parent.glob("*.py")):
+        with path.open("rb") as f:
+            n = sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
+        assert n < 4096, (path.name, n)

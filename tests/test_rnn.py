@@ -84,6 +84,8 @@ def test_forward_dimension_mismatch():
 
     with pytest.raises(DimensionMismatch):
         forward(params, np.zeros((5, 7, 2)))
+    with pytest.raises(DimensionMismatch):  # an empty batch has no mean loss
+        forward(params, np.zeros((5, 3, 0)))
 
 
 @pytest.mark.parametrize("output_kind", [SOFTMAX_CE, MSE])

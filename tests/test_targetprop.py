@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import rnn
+from tprop import gru, rnn
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count, ridge_pinv
 from tprop.rnn import (
@@ -253,7 +253,7 @@ def test_linearized_direction_matches_an_inv_deriv_propagator_bit_for_bit():
             S = act.inv_deriv(hs[lo + 1:hi + 1], hy.epsilon)
             return lambda j, lam: V @ (S[j] * lam)
 
-        want = rnn._backward(params, cache, y, rnn._sweep, by_inv_deriv, hy.gamma_h)
+        want = rnn._backward(params, cache, y, rnn._blocks, by_inv_deriv, hy.gamma_h)
         got = tp_direction(params, cache, y, hy)
         for k in want:
             assert _same_bits(got[k], want[k]), (name, i, k)
@@ -277,7 +277,7 @@ def test_finite_difference_stays_within_1e_10_of_two_inverse_applications():
             return lambda j, lam: (
                 inverse_apply(params, V, xs[lo + j], hs[lo + j + 1] + lam, eps) - ref[j])
 
-        want = rnn._backward(params, cache, y, rnn._sweep, two_inverses, hy.gamma_h)
+        want = rnn._backward(params, cache, y, rnn._blocks, two_inverses, hy.gamma_h)
         got = tp_direction(params, cache, y, hy)
         for k in THETA_H:
             gap = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
@@ -300,29 +300,41 @@ def test_exact_inverse_with_hoisted_projections_keeps_every_bit(d):
             return lambda j, lam: (
                 inverse_apply(params, V, xs[lo + j], hs[lo + j + 1] + lam, eps) - hs[lo + j])
 
-        want = rnn._backward(params, cache, y, rnn._sweep, per_step, hy.gamma_h)
+        want = rnn._backward(params, cache, y, rnn._blocks, per_step, hy.gamma_h)
         got = tp_direction(params, cache, y, hy)
         for k in want:
             assert _same_bits(got[k], want[k]), (i, k)
 
 
 @pytest.mark.parametrize("variant, bound", [
-    ("bptt", 3.7), (LINEARIZED, 4.4), (FINITE_DIFFERENCE, 6.9), (EXACT_INVERSE, 4.9)])
+    ("bptt", 3.7), (LINEARIZED, 4.4), (FINITE_DIFFERENCE, 6.9), (EXACT_INVERSE, 4.9),
+    ("gru_bptt", 18.5), ("gru_tp_backward", 24.0)])
 def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
     # Counted in (_BLOCK, p, B) float64 blocks allocated above the params,
     # inputs and states; bptt peaks near 3.5 of them. The linearized rule
-    # holds one block for S next to the sweep's a' block, where an
-    # inv_deriv call held three more temporaries, and the sweep frees each
-    # block's flattened errors before it forms the next block's a' block.
+    # holds one block for S next to the a' block, where an inv_deriv call
+    # held three more temporaries, and the backward pass frees each block's
+    # flattened errors before it forms the next block's a' block. The GRU
+    # re-runs each block into its block buffers (near 17.7 blocks for gru
+    # bptt), and its contraction's (3, p, p) product is freed with the block.
     p, B = 100, 20
-    params = init_params(p, 1, 4, seed=0)
-    cache = forward(params, rng.standard_normal((60, 1, B)))
+    xs = rng.standard_normal((60, 1, B))
     y = rng.integers(0, 4, size=B)
-    if variant == "bptt":
-        peak = traced_peak(lambda: bptt(params, cache, y))
+    if variant.startswith("gru"):
+        params = gru.init_gru_params(p, 1, 4, seed=0)
+        cache = gru.gru_forward(params, xs)
+        if variant == "gru_bptt":
+            peak = traced_peak(lambda: gru.gru_bptt(params, cache, y))
+        else:
+            peak = traced_peak(lambda: gru.gru_tp_backward(params, cache, y, hyper()))
     else:
-        hy = hyper(variant=variant)
-        peak = traced_peak(lambda: tp_direction(params, cache, y, hy))
+        params = init_params(p, 1, 4, seed=0)
+        cache = forward(params, xs)
+        if variant == "bptt":
+            peak = traced_peak(lambda: bptt(params, cache, y))
+        else:
+            hy = hyper(variant=variant)
+            peak = traced_peak(lambda: tp_direction(params, cache, y, hy))
     assert peak <= bound * _BLOCK * p * B * 8, peak / (_BLOCK * p * B * 8)
 
 
