@@ -11,10 +11,10 @@ ridge pseudo-inverse of its own recurrent matrix:
     h_t = (1 - z_t) * h_{t-1} + z_t * n_t
 
 The backward displacement recursion substitutes the three inverses for the
-corresponding pieces of the true Jacobian, so one backward pass costs exactly
-three matrix factorizations (for W_hm, W_hz, W_hn), independent of sequence
-length. Parameter directions use the true parameter Jacobians, and the output
-head keeps its plain gradient.
+corresponding pieces of the true Jacobian, all three from one stacked ridge
+solve per backward pass (three counted factorizations, for W_hn, W_hz and
+W_hm), independent of sequence length. Parameter directions use the true
+parameter Jacobians, and the output head keeps its plain gradient.
 
 A rollout keeps h_t only at the edges of the backward pass's blocks of
 C = ``rnn._BLOCK`` steps: t = 0 and t = tau - kC, ceil(tau / C) + 1 states,
@@ -220,10 +220,10 @@ def gru_bptt(params: GruParams, cache: ForwardCache, y) -> Direction:
 
 def _linearized_inverse(Vs, eps: float):
     """TP's propagator: each transposed-Jacobian piece replaced by the
-    linearized regularized inverse of its gate map. The logit derivative of
+    linearized regularized inverse of its gate map, with Vs the (3, p, p)
+    stack of the inverses of W_hn, W_hz and W_hm. The logit derivative of
     each gate is evaluated at the gate value projected into [eps, 1-eps]."""
-    V_m, V_z, V_n = Vs
-    V = np.concatenate((V_n, V_z, V_m), axis=1)
+    V = np.concatenate(Vs, axis=1)
     logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
 
     def per_block(lo, hi, b: _Block):
@@ -256,8 +256,8 @@ def gru_tp_backward(
     The state recursion uses the linearized inverses of the gate maps, the
     only rule the GRU has: any other ``hyper.variant`` raises ValueError.
     Parameter directions chain the displacement through the true parameter
-    Jacobians, and the output head gets its negated plain gradient. Exactly
-    three factorizations per call.
+    Jacobians, and the output head gets its negated plain gradient. One
+    stacked ridge solve per call, three counted factorizations.
 
     With ``debug_true_jacobian`` the state recursion uses the true Jacobian
     pieces instead, which makes the recurrent-tensor result equal
@@ -266,7 +266,7 @@ def gru_tp_backward(
     if hyper.variant != LINEARIZED:
         raise ValueError(f"the GRU has only the {LINEARIZED!r} TP rule, not {hyper.variant!r}")
     rnn._check_cache(params, cache, len(rnn._edges(cache.tau)))
-    Vs = [linalg.ridge_pinv(W, hyper.r) for W in (params.W_hm, params.W_hz, params.W_hn)]
+    Vs = linalg.ridge_pinv(np.stack((params.W_hn, params.W_hz, params.W_hm)), hyper.r)
     if debug_true_jacobian:
         propagate = _transposed_jacobian(params)
     else:

@@ -3,7 +3,8 @@
 Everything operates on float64 numpy arrays. The one piece of state in this
 module is a monotone counter of Cholesky factorizations, used by tests and by
 the benchmark command to verify that backward passes amortize their matrix
-inversions (one factorization per backward call, however long the sequence).
+inversions (one per recurrent matrix per backward call, however long the
+sequence); ``ridge_pinv`` solves a matrix or a stack of them at once.
 """
 
 from __future__ import annotations
@@ -32,45 +33,39 @@ def factorization_count() -> int:
 
 
 def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
-    """Regularized pseudo-inverse V = (W^T W + r I)^{-1} W^T.
+    """Regularized pseudo-inverse V = (W^T W + r I)^{-1} W^T, by one solve.
 
-    The normal equations (W^T W + r I) V = W^T are solved through a single
-    Cholesky factorization of the symmetric positive definite system matrix,
-    counted by :func:`factorization_count`.
+    A Cholesky factorization, counted by :func:`factorization_count`, only
+    checks that the system matrix W^T W + r I is positive definite.
 
     Parameters
     ----------
-    W : (m, n) array
+    W : (m, n) array, or a (k, m, n) stack, which counts k factorizations
     r : float
         Ridge coefficient, finite and nonnegative. With r = 0 the matrix W has
         to be full column rank, otherwise SingularSystem is raised.
 
     Returns
     -------
-    (n, m) array
+    (n, m) array, or the (k, n, m) stack of each matrix's own V, bit for bit
     """
     global _factorizations
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {W.shape}")
+    if W.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {W.shape}")
     if not 0 <= r < np.inf:
         raise ValueError(f"ridge coefficient must be finite and nonnegative, got {r}")
-    n = W.shape[1]
-    A = W.T @ W
-    A[np.diag_indices(n)] += r
+    A = W.mT @ W + r * np.eye(W.shape[-1])
     if not np.all(np.isfinite(A)):
         raise SingularSystem("normal equations contain non-finite entries")
     try:
-        L = np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"W^T W + {r} I is not positive definite (rank-deficient W?)"
         ) from exc
-    _factorizations += 1
-    # numpy.linalg has no triangular solve, so V = L^{-T} (L^{-1} W^T) goes
-    # through the inverse of the factor.
-    Li = np.linalg.inv(L)
-    V = Li.T @ (Li @ W.T)
+    _factorizations += len(A) if A.ndim == 3 else 1
+    V = np.linalg.solve(A, W.mT)
     if not np.all(np.isfinite(V)):
         raise SingularSystem("ridge solve produced non-finite entries")
     return V

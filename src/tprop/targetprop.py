@@ -21,9 +21,9 @@ Past that one factorization, every rule does a BPTT step's work per step:
 one GEMM, with V where BPTT has W_hh^T, plus the pointwise work below. Each
 rule forms what it needs for a block of steps at once, in one block buffer.
 
-- linearized: one product S_t * lam, S_t = (a^{-1})'(proj(h_t)). For tanh
-  and identity, S_t is 1 / max(a'(u_t), a'(1 - eps)), read off the a'(u_t)
-  block the sweep forms anyway; sigmoid takes ``inv_deriv`` per block.
+- linearized: one product S_t * lam, S_t = (a^{-1})'(proj(h_t)), formed as
+  1 / max(a'(u_t), floor) from the a'(u_t) block the sweep forms anyway,
+  with floor the least a' over the projected range.
 - finite difference: one a^{-1}(proj(h_t + lam)) less the block's
   a^{-1}(proj(h_t)). W_xh x_t + b_h cancels between the two inverses, so
   it is never formed.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rnn
-from .activations import Activation, Identity, Tanh
+from .activations import Activation
 
 LINEARIZED = "linearized"
 FINITE_DIFFERENCE = "finite_difference"
@@ -98,15 +98,13 @@ def inverse_apply(
 
 
 def _deriv_floor(act: Activation, eps: float):
-    """The floor that ``project`` puts under a'(h), or None. Where a'(h)
-    falls with |h| and both clip ends give it one value, as for tanh
-    (1 - h h, whose rounding is monotone too) and identity (1), clipping
-    h is flooring a'(h), so 1 / max(a'(h), floor) is
-    ``act.inv_deriv(h, eps)`` bit for bit. Sigmoid's ends eps and 1 - eps
-    give two floors (1 - (1 - eps) != eps in float), so it has none."""
-    if isinstance(act, (Tanh, Identity)):
-        return act.deriv(act.projected_range(eps)[1])
-    return None
+    """The least a'(h) over the projected range. a'(h) falls from the
+    interior toward both clip ends (1 - h h for tanh, h (1 - h) for sigmoid,
+    1 for identity), so flooring a'(h) there is clipping h, and
+    1 / max(a'(h), floor) is ``act.inv_deriv(h, eps)``: bit for bit for
+    tanh and identity, whose two ends give one value, and within an ulp for
+    sigmoid, whose ends eps and 1 - eps round apart."""
+    return act.deriv(np.array(act.projected_range(eps))).min()
 
 
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
@@ -123,11 +121,8 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
         floor = _deriv_floor(act, eps)
 
         def linearized(lo, hi, es):
-            if floor is None:
-                S = act.inv_deriv(hs[lo + 1:hi + 1], eps)
-            else:  # from es = a'(u_t), before the sweep overwrites it
-                S = np.maximum(es, floor)
-                np.divide(1.0, S, out=S)
+            S = np.maximum(es, floor)  # from es = a'(u_t), before the sweep overwrites it
+            np.divide(1.0, S, out=S)
 
             def step(i, lam):
                 s = S[i]
@@ -169,7 +164,8 @@ def tp_direction(
 
     The recursion starts from lambda_tau = -gamma_h * dloss/dh_tau and stops
     after producing the displacement for step 1 (a step-0 displacement would
-    multiply nothing). Exactly one matrix factorization happens per call.
+    multiply nothing). V comes from one ridge solve per call, behind one
+    counted factorization.
     The difference variant (finite_difference) agrees with the linearized
     one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
     plain inverse variant (exact_inverse) drops the correction term. Its

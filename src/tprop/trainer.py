@@ -354,22 +354,23 @@ def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
     """Held-out accuracy: fresh batches for synthetic tasks, the test split
     (in n_batches slices of 250, or all of it for n_batches = 0) for images.
     The forward passes keep no per-step states, so memory does not grow
-    with the sequence length."""
+    with the sequence length. A negative n_batches raises ValueError."""
+    if n_batches < 0:
+        raise ValueError(f"n_batches must be >= 0, got {n_batches}")
     forward = cell_passes(params)[0]
     if isinstance(task, _PixelTask):
         n = task.test.n if n_batches == 0 else min(task.test.n, 250 * n_batches)
         correct = 0
         for start in range(0, n, 250):
-            idx = np.arange(start, min(start + 250, n))
-            b = tasks.image_batch(task.test, idx, task.k, task.permutation)
+            b = tasks.image_batch(task.test, np.arange(start, min(start + 250, n)), task.k,
+                                  task.permutation)
             cache = forward(params, b.inputs, states=False)
             correct += int(np.sum(np.argmax(cache.y_hat, axis=0) == b.labels))
         return correct / n
     accs = []
-    for _ in range(max(n_batches, 1)):
+    for _ in range(n_batches or 1):
         b = task.sample(rng)
-        cache = forward(params, b.inputs, states=False)
-        accs.append(task.accuracy(cache.y_hat, b.labels))
+        accs.append(task.accuracy(forward(params, b.inputs, states=False).y_hat, b.labels))
     return float(np.mean(accs))
 
 
@@ -391,8 +392,8 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     theta = params.tensors()
     velocity = {k: np.zeros_like(v) for k, v in theta.items()}
     hyper = targetprop.TpHyper(
-        gamma_h=cfg.gamma_h, gamma_theta=cfg.gamma_theta, r=cfg.r,
-        epsilon=cfg.epsilon, variant=_VARIANT_OF.get(cfg.method, targetprop.LINEARIZED),
+        gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
+        variant=_VARIANT_OF.get(cfg.method, targetprop.LINEARIZED),
     )
     if cfg.method == BP:
         stepsize, momentum = cfg.gamma, cfg.momentum

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tprop import linalg
 from tprop.gru import (
     RECURRENT_TENSORS,
     GruParams,
@@ -291,15 +292,20 @@ def test_tp_backward_matches_per_step_reference(rng, saturation):
                                 atol=1e-15 * np.abs(want[name]).max(), err_msg=(tau, name))
 
 
-def test_tp_backward_three_factorizations_per_call(rng):
+def test_tp_backward_three_factorizations_per_call(rng, monkeypatch):
+    # one ridge solve on the stack of the three recurrent matrices
+    calls = []
+    ridge_pinv = linalg.ridge_pinv
+    monkeypatch.setattr(linalg, "ridge_pinv", lambda W, r: calls.append(W.shape) or ridge_pinv(W, r))
     params = init_gru_params(5, 2, 3, seed=8)
     for tau, B in ((4, 2), (30, 6)):
         xs = rng.standard_normal((tau, 2, B))
         y = rng.integers(0, 3, size=B)
         cache = gru_forward(params, xs)
-        before = factorization_count()
+        before, calls[:] = factorization_count(), []
         gru_tp_backward(params, cache, y, hyper())
         assert factorization_count() - before == 3
+        assert calls == [(3, 5, 5)]
 
 
 def test_tp_backward_debug_mode_reproduces_bptt(rng):

@@ -88,6 +88,25 @@ def test_factorization_counter_increments_once_per_call():
     assert factorization_count() - before == 2
 
 
+@pytest.mark.parametrize("p", [5, 100])
+def test_ridge_pinv_on_a_stack_is_one_call_per_matrix(p):
+    gen = np.random.default_rng(p)
+    W = np.stack([orthogonal_init(p, 0), 1.3 * orthogonal_init(p, 1),
+                  gen.standard_normal((p, p))])
+    for r in (0.0, 1e-3, 1.0):
+        before = factorization_count()
+        V = ridge_pinv(W, r)
+        assert factorization_count() - before == 3
+        assert V.shape == (3, p, p)
+        for k in range(3):
+            assert V[k].tobytes() == ridge_pinv(W[k], r).tobytes(), (r, k)
+    W[1, :, 0] = W[1, :, 1]  # rank deficient: no r = 0 inverse for the stack
+    with pytest.raises(SingularSystem):
+        ridge_pinv(W, 0.0)
+    with pytest.raises(DimensionMismatch):
+        ridge_pinv(np.ones(p), 1.0)
+
+
 def test_orthogonal_init_p1_is_sign():
     for seed in range(10):
         Q = orthogonal_init(1, seed)

@@ -253,6 +253,17 @@ def test_evaluate_zeroed_model_at_chance():
     assert abs(acc - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 10_000)
 
 
+def test_evaluate_rejects_a_negative_batch_count(tmp_path):
+    # Neither an accuracy over zero images nor a silent single batch.
+    write_idx_set(tmp_path, 40, 30, np.random.default_rng(1))
+    for cfg, n in ((small_config(task="pixels", k=28, data_dir=str(tmp_path)), -1),
+                   (small_config(), -3)):
+        task = build_task(cfg)
+        params = init_model(cfg, task, seed=0)
+        with pytest.raises(ValueError, match="n_batches"):
+            evaluate(params, task, n, np.random.default_rng(0))
+
+
 def test_accuracy_recount_on_saved_batch():
     from tprop.tasks import classification_accuracy
 
