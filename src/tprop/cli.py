@@ -274,7 +274,7 @@ def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: s
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
     y = rng.integers(0, _BENCH_TASK.n_out, size=batch)
-    hyper = targetprop.TpHyper(gamma_h=1e-2, gamma_theta=1e-1, r=1.0)
+    hyper = targetprop.TpHyper(gamma_h=1e-2, r=1.0)
     params = trainer.init_model(trainer.ExperimentConfig(model=model, hidden=p),
                                 _BENCH_TASK, seed)
     forward, bptt, tp_backward = trainer.cell_passes(params)

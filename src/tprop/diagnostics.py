@@ -129,7 +129,7 @@ def direction_gap(
     differences are spectral (Euclidean for the bias), the max is reported.
     """
     grads = rnn.bptt(params, cache, y)
-    hyper = TpHyper(gamma_h=1.0, gamma_theta=0.0, r=r, epsilon=eps)
+    hyper = TpHyper(gamma_h=1.0, r=r, epsilon=eps)
     d = targetprop.tp_direction(params, cache, y, hyper)
     measured = max(spectral_norm(grads[n] + d[n]) for n in THETA_H)
     V = linalg.ridge_pinv(params.W_hh, r)
@@ -270,7 +270,7 @@ def dtp_linearization_gap(
     so each halving of gamma_h divides it by about four."""
     gaps = []
     for gh in gamma_hs:
-        hyper = TpHyper(gamma_h=float(gh), gamma_theta=0.0, r=r, epsilon=eps)
+        hyper = TpHyper(gamma_h=float(gh), r=r, epsilon=eps)
         fd = replace(hyper, variant=targetprop.FINITE_DIFFERENCE)
         lin = targetprop.tp_direction(params, cache, y, hyper)
         dtp = targetprop.tp_direction(params, cache, y, fd)
@@ -387,7 +387,7 @@ def suite_equiv(seeds=range(10)) -> list[SuiteCheck]:
     for seed in seeds:
         params, cache, y = _identity_instance(seed)
         grads = rnn.bptt(params, cache, y)
-        hyper = TpHyper(gamma_h=gamma_h, gamma_theta=0.0, r=0.0)
+        hyper = TpHyper(gamma_h=gamma_h, r=0.0)
         d = targetprop.tp_direction(params, cache, y, hyper)
         rel = _substitution_gap(d, grads, gamma_h)
         out.append(SuiteCheck("equiv", f"identity-orthogonal-seed{seed}",
@@ -443,7 +443,7 @@ def suite_gru(seeds=range(5)) -> list[SuiteCheck]:
         params, x, y = _grad_gru_instance(seed, tau=6, p=5, d=3, B=3)
         cache = gru_mod.gru_forward(params, x)
         grads = gru_mod.gru_bptt(params, cache, y)
-        hyper = TpHyper(gamma_h=gamma_h, gamma_theta=0.0, r=1.0)
+        hyper = TpHyper(gamma_h=gamma_h, r=1.0)
         before = linalg.factorization_count()
         d = gru_mod.gru_tp_backward(params, cache, y, hyper, debug_true_jacobian=True)
         n_fact = linalg.factorization_count() - before

@@ -65,8 +65,8 @@ class TpHyper:
     gamma_h scales the initial displacement at the last step, r is the ridge
     coefficient of the inverses, epsilon the clip margin of the projection.
     No backward pass reads gamma_theta: the training loop steps with
-    ExperimentConfig.gamma_theta. The field stays because callers such as
-    perfbench/gate.py pass it.
+    ExperimentConfig.gamma_theta. The field stays because perfbench/gate.py
+    passes it.
     """
 
     gamma_h: float = 1e-2

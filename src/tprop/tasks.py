@@ -207,21 +207,3 @@ def image_batch(
     inputs = _PIXEL_SCALE[pixels].reshape(npix // k, k, len(indices))
     return Batch(inputs=inputs, labels=dataset.labels[indices])
 
-
-def epoch_indices(n: int, batch: int, rng: np.random.Generator):
-    """Yield index arrays covering a fresh shuffle of range(n), no replacement.
-
-    The last partial slice of an epoch is dropped so batch shapes stay fixed.
-    Loops forever; callers pull as many batches as they need. Raises
-    ValueError up front when batch > n, since no epoch holds a whole batch.
-    """
-    if not 1 <= batch <= n:
-        raise ValueError(f"batch {batch} must be between 1 and the {n} samples")
-
-    def batches():
-        while True:
-            order = rng.permutation(n)
-            for start in range(0, n - batch + 1, batch):
-                yield order[start:start + batch]
-
-    return batches()

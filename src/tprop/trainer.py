@@ -91,7 +91,7 @@ class ExperimentConfig:
     iters: int = _setting(10000, "training iterations")
     eval_every: int = _setting(1000, "held-out eval cadence for the pixels task; 0 never")
     stop_at_acc: float = _setting(0.0, "stop once running accuracy reaches this; 0 never")
-    seed: int = _setting(0, "seed of the init, data and eval streams")
+    seed: int = _setting(0, "seed of the init and data streams")
 
     def validate(self) -> None:
         for fld in dataclasses.fields(self):
@@ -137,8 +137,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         v = getattr(cfg, fld.name)
         if isinstance(v, bool):
             v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = repr(v)
         lines.append(f"{fld.name} = {v}\n")
     write_text_atomic(path, "".join(lines))
 
@@ -174,7 +172,10 @@ METRICS_HEADER = "iter,loss,acc,wall_ms"
 
 @dataclass
 class MetricsLog:
-    """Per-iteration training metrics plus optional held-out evaluations."""
+    """Per-iteration training metrics plus optional held-out evaluations.
+
+    ``diverged_at`` is the iteration whose loss or inverse broke the run,
+    None for a run that did not diverge; ``diverged`` is read off it."""
 
     iters: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
@@ -182,8 +183,11 @@ class MetricsLog:
     wall_ms: list[float] = field(default_factory=list)
     eval_iters: list[int] = field(default_factory=list)
     eval_accs: list[float] = field(default_factory=list)
-    diverged: bool = False
     diverged_at: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def running_accuracy(self, window: int = 100) -> float:
         if not self.accs:
@@ -219,8 +223,11 @@ class MetricsLog:
                     continue
                 if line.startswith("#"):
                     if line.startswith("# diverged_at="):
-                        log.diverged = True
-                        log.diverged_at = int(line.split("=", 1)[1])
+                        at = line.split("=", 1)[1]
+                        if not at.isdecimal():
+                            raise ParseError(f"{path}:{lineno}: diverged_at must be an "
+                                             f"iteration >= 0, got {at!r}")
+                        log.diverged_at = int(at)
                     continue
                 parts = line.split(",")
                 if len(parts) != (5 if with_eval else 4):
@@ -247,7 +254,6 @@ class TrainResult:
 
 class _SyntheticTask:
     def __init__(self, cfg: ExperimentConfig):
-        self.name = cfg.task
         self.T = cfg.T
         self.batch = cfg.batch
         if cfg.task == tasks.TEMPORAL_ORDER:
@@ -269,6 +275,10 @@ class _SyntheticTask:
 
 
 class _PixelTask:
+    """Training images in epochs: ``_order`` is the epoch's shuffle of the
+    rows and ``_cursor`` the first row not yet taken. :meth:`sample` draws
+    the next shuffle from its rng when less than a batch is left over."""
+
     def __init__(self, cfg: ExperimentConfig):
         root = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
         if not root:
@@ -282,8 +292,6 @@ class _PixelTask:
             return path
         self.train = tasks.load_idx(p("train-images-idx3-ubyte"), p("train-labels-idx1-ubyte"))
         self._test_paths = (p("t10k-images-idx3-ubyte"), p("t10k-labels-idx1-ubyte"))
-        self.name = "pixels"
-        self.k = cfg.k
         self.batch = cfg.batch
         if cfg.batch > self.train.n:
             raise ConfigError(f"batch {cfg.batch} exceeds the {self.train.n} training images")
@@ -296,7 +304,8 @@ class _PixelTask:
         self.d = cfg.k
         self.n_out = int(self.train.labels.max()) + 1
         self.output_kind = rnn.SOFTMAX_CE
-        self._epoch = None
+        self._order = np.arange(0)  # no epoch drawn yet
+        self._cursor = 0
 
     @functools.cached_property
     def test(self) -> tasks.ImageDataset:
@@ -304,9 +313,11 @@ class _PixelTask:
         return tasks.load_idx(*self._test_paths)
 
     def sample(self, rng) -> tasks.Batch:
-        if self._epoch is None:
-            self._epoch = tasks.epoch_indices(self.train.n, self.batch, rng)
-        return tasks.image_batch(self.train, next(self._epoch), self.k, self.permutation)
+        if self._cursor + self.batch > self._order.size:
+            self._order, self._cursor = rng.permutation(self.train.n), 0
+        rows = self._order[self._cursor:self._cursor + self.batch]
+        self._cursor += self.batch
+        return tasks.image_batch(self.train, rows, self.d, self.permutation)
 
     def accuracy(self, y_hat, labels) -> float:
         return tasks.classification_accuracy(y_hat, labels)
@@ -350,9 +361,10 @@ def cell_passes(params):
     return rnn.forward, rnn.bptt, targetprop.tp_direction
 
 
-def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
-    """Held-out accuracy: fresh batches for synthetic tasks, the test split
-    (in n_batches slices of 250, or all of it for n_batches = 0) for images.
+def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> float:
+    """Held-out accuracy: fresh batches drawn from ``rng`` for synthetic
+    tasks; for images the test split, in n_batches slices of 250 or all of
+    it for n_batches = 0, with ``rng`` unread (None will do).
     The forward passes keep no per-step states, so memory does not grow
     with the sequence length. A negative n_batches raises ValueError."""
     if n_batches < 0:
@@ -362,7 +374,7 @@ def evaluate(params, task, n_batches: int, rng: np.random.Generator) -> float:
         n = task.test.n if n_batches == 0 else min(task.test.n, 250 * n_batches)
         correct = 0
         for start in range(0, n, 250):
-            b = tasks.image_batch(task.test, np.arange(start, min(start + 250, n)), task.k,
+            b = tasks.image_batch(task.test, np.arange(start, min(start + 250, n)), task.d,
                                   task.permutation)
             cache = forward(params, b.inputs, states=False)
             correct += int(np.sum(np.argmax(cache.y_hat, axis=0) == b.labels))
@@ -381,13 +393,11 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     sets the divergence marker instead of crashing.
     """
     cfg.validate()
-    ss = np.random.SeedSequence(cfg.seed)
-    s_init, s_data, s_eval = ss.spawn(3)
+    s_init, s_data = np.random.SeedSequence(cfg.seed).spawn(2)
     task = build_task(cfg)
     if params is None:
         params = init_model(cfg, task, int(s_init.generate_state(1)[0]))
     rng_data = np.random.default_rng(s_data)
-    rng_eval = np.random.default_rng(s_eval)
     forward, bptt, tp_backward = cell_passes(params)
     theta = params.tensors()
     velocity = {k: np.zeros_like(v) for k, v in theta.items()}
@@ -408,7 +418,6 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
             cache = forward(params, batch.inputs, out=hs)
             loss = rnn.loss(batch.labels, cache)
             if not np.isfinite(loss):
-                log.diverged = True
                 log.diverged_at = it
                 break
             acc = task.accuracy(cache.y_hat, batch.labels)
@@ -419,7 +428,6 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                     g = {k: -v for k, v in
                          tp_backward(params, cache, batch.labels, hyper).items()}
             except SingularSystem:
-                log.diverged = True
                 log.diverged_at = it
                 break
             nesterov_step(theta, velocity, g, stepsize, momentum)
@@ -438,7 +446,7 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                 and (it + 1) % cfg.eval_every == 0
             ):
                 log.eval_iters.append(it)
-                log.eval_accs.append(evaluate(params, task, 0, rng_eval))
+                log.eval_accs.append(evaluate(params, task, 0, None))
             if cfg.stop_at_acc > 0 and log.running_accuracy() >= cfg.stop_at_acc:
                 break
     return TrainResult(log=log, params=params)
@@ -463,10 +471,9 @@ class GridCell:
 
 
 def _grid_run(run: ExperimentConfig) -> GridCell:
-    result = train(run)
-    diverged = result.log.diverged or len(result.log.losses) < run.iters
-    area = float("nan") if diverged else training_area(result.log.losses)
-    return GridCell(gamma_theta=run.gamma_theta, r=run.r, area=area, diverged=diverged)
+    log = train(run).log
+    area = float("nan") if log.diverged else training_area(log.losses)
+    return GridCell(gamma_theta=run.gamma_theta, r=run.r, area=area, diverged=log.diverged)
 
 
 GRID_HORIZON = 400  # iterations per grid cell unless a caller says otherwise

@@ -1,8 +1,10 @@
 """The benchmark under perfbench/ reaches into the library by name: its
-tracer wraps module attributes and tanh's methods, and its correctness gate
-calls the backward passes directly. These tests fail when a change to the
+tracer wraps module attributes and tanh's methods, its correctness gate
+calls the backward passes directly, and its set-up probe wraps the batch
+generators on the tasks module. These tests fail when a change to the
 library's surface would break the benchmark."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +52,16 @@ def test_gate_passes_for_every_pair(perfbench):
         assert len(checks) == 2 + 2 * len(gate.FACTORIZATIONS)
         failed = [(c.suite, c.name, c.measured, c.bound) for c in checks if not c.passed]
         assert not failed, tau
+
+
+@pytest.mark.parametrize("workload", ["order20-converge", "grid-t60", "pixel784"])
+def test_setup_probe_sees_the_first_batch(perfbench, tmp_path, workload):
+    # The probe wraps tasks' batch generators before it trains; a trainer
+    # that bound them at import would never call the wrappers.
+    import env
+
+    env.write_synthetic_idx(tmp_path, 0, 20, 5)
+    proc = subprocess.run(
+        [sys.executable, str(Path(PERFBENCH) / "setup_probe.py"), workload, "0", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["first-batch"]

@@ -15,7 +15,6 @@ from tprop.tasks import (
     TruncatedFile,
     adding_accuracy,
     classification_accuracy,
-    epoch_indices,
     fixed_permutation,
     gen_adding,
     gen_temporal_order,
@@ -281,29 +280,6 @@ def test_image_batch_matches_per_image_sequences(rng, k, permuted):
     assert batch.inputs.tobytes() == want.tobytes()
     with pytest.raises(IndivisibleChunk):
         image_batch(ds, rows, 5, perm)
-
-
-def test_epoch_indices_no_replacement_within_epoch():
-    from itertools import islice
-
-    rng = np.random.default_rng(0)
-    # 10 samples at batch 3: an epoch is 3 full slices, the remainder is dropped
-    chunks = list(islice(epoch_indices(10, 3, rng), 6))
-    assert all(len(c) == 3 for c in chunks)
-    first_epoch = np.concatenate(chunks[:3])
-    assert len(set(first_epoch)) == 9
-    assert set(first_epoch) <= set(range(10))
-
-
-def test_epoch_indices_rejects_batch_larger_than_n():
-    from itertools import islice
-
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        epoch_indices(10, 20, rng)
-    # batch == n: every slice is a whole epoch
-    chunks = list(islice(epoch_indices(10, 10, rng), 2))
-    assert all(sorted(c) == list(range(10)) for c in chunks)
 
 
 @given(T=st.integers(min_value=10, max_value=80), seed=st.integers(min_value=0, max_value=999))

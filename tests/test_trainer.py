@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import os
+import pickle
+import re
 import struct
 
 import numpy as np
@@ -121,7 +123,7 @@ def test_one_tp_iteration_applies_direction_exactly():
     cfg = small_config(iters=1, gamma_theta=0.25, r=2.0, gamma_h=0.03)
     init = fresh_model(cfg)
     # replicate the single batch the run will draw from its data stream
-    _, s_data, _ = np.random.SeedSequence(cfg.seed).spawn(3)
+    _, s_data = np.random.SeedSequence(cfg.seed).spawn(2)
     batch = build_task(cfg).sample(np.random.default_rng(s_data))
     from tprop.rnn import forward
 
@@ -148,6 +150,8 @@ def test_divergence_truncates_log_with_marker():
     assert log.diverged
     assert log.diverged_at is not None and log.diverged_at < 300
     assert len(log.losses) == len(log.iters) == len(log.accs) == log.diverged_at
+    with pytest.raises(AttributeError):  # diverged is read off diverged_at
+        log.diverged = False
     assert all(np.isfinite(v) for v in log.losses)
 
 
@@ -386,6 +390,15 @@ def test_metrics_csv_preserves_divergence_marker(tmp_path):
     assert loaded.diverged and loaded.diverged_at == res.log.diverged_at
 
 
+@pytest.mark.parametrize("marker", ["x", "", "-3", "1.5"])
+def test_metrics_csv_names_the_line_of_a_malformed_divergence_marker(tmp_path, marker):
+    path = tmp_path / "metrics.csv"
+    path.write_text(f"{trainer.METRICS_HEADER}\n0,1.0,0.5,0.1\n# diverged_at={marker}\n")
+    named = f"^{re.escape(str(path))}:3: diverged_at must be an iteration >= 0"
+    with pytest.raises(ParseError, match=named):
+        MetricsLog.from_csv(str(path))
+
+
 def test_running_accuracy_window():
     log = MetricsLog()
     for i in range(150):
@@ -541,3 +554,59 @@ def test_pixel_test_split_is_read_on_first_evaluation(tmp_path, monkeypatch):
     (tmp_path / "t10k-labels-idx1-ubyte").unlink()
     with pytest.raises(ConfigError, match="t10k-labels"):
         build_task(cfg)
+
+
+def pixel_task(directory, n, batch):
+    write_idx_set(directory, n, 5, np.random.default_rng(1))
+    return build_task(small_config(task="pixels", k=28, data_dir=str(directory), batch=batch))
+
+
+def sampled_rows(task, rng, n_batches, monkeypatch):
+    """The training rows of the task's next n_batches batches."""
+    image_batch, rows = tasks.image_batch, []
+
+    def recording(dataset, indices, k, permutation=None):
+        rows.append(np.asarray(indices).tolist())
+        return image_batch(dataset, indices, k, permutation)
+
+    monkeypatch.setattr(tasks, "image_batch", recording)
+    for _ in range(n_batches):
+        task.sample(rng)
+    return rows
+
+
+def test_pixel_epochs_slice_the_data_streams_permutations_in_order(tmp_path, monkeypatch):
+    # 10 images at batch 3: each epoch is the stream's next permutation cut
+    # into 3 whole batches, and its tenth row is dropped
+    rows = sampled_rows(pixel_task(tmp_path, 10, 3), np.random.default_rng(4), 9, monkeypatch)
+    ref = np.random.default_rng(4)
+    for epoch in range(3):
+        order = ref.permutation(10).tolist()
+        taken = rows[3 * epoch:3 * epoch + 3]
+        assert taken == [order[0:3], order[3:6], order[6:9]]
+        flat = sum(taken, [])
+        assert len(set(flat)) == 9 and order[9] not in flat  # no row twice
+
+
+def test_pixel_batch_of_every_image_reshuffles_and_a_larger_one_is_rejected(
+        tmp_path, monkeypatch):
+    rows = sampled_rows(pixel_task(tmp_path, 10, 10), np.random.default_rng(4), 3, monkeypatch)
+    ref = np.random.default_rng(4)
+    assert rows == [ref.permutation(10).tolist() for _ in range(3)]
+    with pytest.raises(ConfigError, match="batch 11 exceeds the 10 training images"):
+        build_task(small_config(task="pixels", k=28, data_dir=str(tmp_path), batch=11))
+
+
+def test_pixel_task_mid_epoch_copies_and_pickles_with_its_stream(tmp_path):
+    # A run's data state is plain data: a copy taken mid-epoch goes on
+    # drawing the batches the original draws, across epoch boundaries.
+    task, rng = pixel_task(tmp_path, 10, 3), np.random.default_rng(4)
+    for _ in range(4):
+        task.sample(rng)
+    copies = [copy.deepcopy((task, rng)), pickle.loads(pickle.dumps((task, rng)))]
+    want = [task.sample(rng) for _ in range(7)]
+    for twin, twin_rng in copies:
+        for b in want:
+            got = twin.sample(twin_rng)
+            assert got.inputs.tobytes() == b.inputs.tobytes()
+            assert got.labels.tobytes() == b.labels.tobytes()
