@@ -1,18 +1,22 @@
-"""Task generators and dataset plumbing.
+"""Task generators, dataset plumbing and the tasks a run trains on.
 
 Synthetic tasks produce batches in the (tau, d, B) column-per-sample layout
 the networks consume. Image datasets are read from the classic big-endian
 IDX pair (images + labels) and kept as the file's bytes; a batch is sliced
 into pixel sequences of k pixels per step, optionally through a fixed
-permutation, and only its pixels are scaled to [0, 1].
+permutation, and only its pixels are scaled to [0, 1]. A run trains on a
+:class:`SyntheticTask` or a :class:`PixelTask`, which scores held-out data.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rnn import MSE, SOFTMAX_CE
 
 TEMPORAL_ORDER = "temporal-order"
 ADDING = "adding"
@@ -207,3 +211,70 @@ def image_batch(
     inputs = _PIXEL_SCALE[pixels].reshape(npix // k, k, len(indices))
     return Batch(inputs=inputs, labels=dataset.labels[indices])
 
+
+class SyntheticTask:
+    """Temporal order or adding at length T: every batch, held-out ones
+    too, is drawn fresh from the rng it is given."""
+
+    has_test_split = False
+
+    def __init__(self, name: str, T: int, batch: int):
+        self.name, self.T, self.batch = name, T, batch
+        self.d, self.n_out, self.output_kind = (
+            (N_SYMBOLS, 4, SOFTMAX_CE) if name == TEMPORAL_ORDER else (2, 1, MSE))
+
+    def sample(self, rng) -> Batch:
+        gen = gen_temporal_order if self.name == TEMPORAL_ORDER else gen_adding
+        return gen(self.T, self.batch, rng)
+
+    def accuracy(self, y_hat, labels) -> float:
+        score = classification_accuracy if self.name == TEMPORAL_ORDER else adding_accuracy
+        return score(y_hat, labels)
+
+    def held_out_accuracy(self, predict, n_batches: int, rng) -> float:
+        """Mean accuracy of ``predict(inputs) -> y_hat`` over n_batches
+        fresh batches from ``rng``, one for n_batches = 0."""
+        batches = (self.sample(rng) for _ in range(n_batches or 1))
+        return float(np.mean([self.accuracy(predict(b.inputs), b.labels) for b in batches]))
+
+
+class PixelTask:
+    """Training images in epochs: ``_order`` is the epoch's shuffle of the
+    rows and ``_cursor`` the first row not yet taken. :meth:`sample` draws
+    the next shuffle from its rng when less than a batch is left over."""
+
+    has_test_split = True
+
+    def __init__(self, train: ImageDataset, test_paths, batch: int, k: int,
+                 permutation: np.ndarray | None = None):
+        self.train, self._test_paths = train, tuple(test_paths)
+        self.batch, self.d, self.permutation = batch, k, permutation
+        self.n_out = int(train.labels.max()) + 1
+        self.output_kind = SOFTMAX_CE
+        self._order, self._cursor = np.arange(0), 0  # no epoch drawn yet
+
+    @functools.cached_property
+    def test(self) -> ImageDataset:
+        """The t10k split, read on first use: a run that never evaluates never holds it."""
+        return load_idx(*self._test_paths)
+
+    def sample(self, rng) -> Batch:
+        if self._cursor + self.batch > self._order.size:
+            self._order, self._cursor = rng.permutation(self.train.n), 0
+        rows = self._order[self._cursor:self._cursor + self.batch]
+        self._cursor += self.batch
+        return image_batch(self.train, rows, self.d, self.permutation)
+
+    accuracy = staticmethod(classification_accuracy)
+
+    def held_out_accuracy(self, predict, n_batches: int, rng=None) -> float:
+        """Accuracy of ``predict(inputs) -> y_hat`` on the test split, in
+        slices of 250 images: the first n_batches, or all of it for
+        n_batches = 0. ``rng`` is unread."""
+        n = self.test.n if n_batches == 0 else min(self.test.n, 250 * n_batches)
+        correct = 0
+        for start in range(0, n, 250):
+            b = image_batch(self.test, np.arange(start, min(start + 250, n)), self.d,
+                            self.permutation)
+            correct += int(np.sum(np.argmax(predict(b.inputs), axis=0) == b.labels))
+        return correct / n

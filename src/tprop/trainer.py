@@ -10,7 +10,6 @@ and accuracies (wall times are measured, so they vary).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -252,81 +251,29 @@ class TrainResult:
     params: object  # RnnParams or GruParams
 
 
-class _SyntheticTask:
-    def __init__(self, cfg: ExperimentConfig):
-        self.T = cfg.T
-        self.batch = cfg.batch
-        if cfg.task == tasks.TEMPORAL_ORDER:
-            self.d, self.n_out = tasks.N_SYMBOLS, 4
-            self.output_kind = rnn.SOFTMAX_CE
-            self._gen = tasks.gen_temporal_order
-        else:
-            self.d, self.n_out = 2, 1
-            self.output_kind = rnn.MSE
-            self._gen = tasks.gen_adding
-
-    def sample(self, rng) -> tasks.Batch:
-        return self._gen(self.T, self.batch, rng)
-
-    def accuracy(self, y_hat, labels) -> float:
-        if self.output_kind == rnn.SOFTMAX_CE:
-            return tasks.classification_accuracy(y_hat, labels)
-        return tasks.adding_accuracy(y_hat, labels)
-
-
-class _PixelTask:
-    """Training images in epochs: ``_order`` is the epoch's shuffle of the
-    rows and ``_cursor`` the first row not yet taken. :meth:`sample` draws
-    the next shuffle from its rng when less than a batch is left over."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        root = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
-        if not root:
-            raise ConfigError(
-                f"pixels task needs data_dir or ${DATA_DIR_ENV} pointing at the IDX files"
-            )
-        def p(name):
-            path = os.path.join(root, name)
-            if not os.path.exists(path):
-                raise ConfigError(f"missing dataset file {path}")
-            return path
-        self.train = tasks.load_idx(p("train-images-idx3-ubyte"), p("train-labels-idx1-ubyte"))
-        self._test_paths = (p("t10k-images-idx3-ubyte"), p("t10k-labels-idx1-ubyte"))
-        self.batch = cfg.batch
-        if cfg.batch > self.train.n:
-            raise ConfigError(f"batch {cfg.batch} exceeds the {self.train.n} training images")
-        if self.train.pixels % cfg.k != 0:
-            raise ConfigError(f"k={cfg.k} does not divide {self.train.pixels} pixels")
-        self.permutation = (
-            tasks.fixed_permutation(cfg.perm_seed, self.train.pixels)
-            if cfg.permute else None
-        )
-        self.d = cfg.k
-        self.n_out = int(self.train.labels.max()) + 1
-        self.output_kind = rnn.SOFTMAX_CE
-        self._order = np.arange(0)  # no epoch drawn yet
-        self._cursor = 0
-
-    @functools.cached_property
-    def test(self) -> tasks.ImageDataset:
-        """The t10k split, read on first use: a run that never evaluates never holds it."""
-        return tasks.load_idx(*self._test_paths)
-
-    def sample(self, rng) -> tasks.Batch:
-        if self._cursor + self.batch > self._order.size:
-            self._order, self._cursor = rng.permutation(self.train.n), 0
-        rows = self._order[self._cursor:self._cursor + self.batch]
-        self._cursor += self.batch
-        return tasks.image_batch(self.train, rows, self.d, self.permutation)
-
-    def accuracy(self, y_hat, labels) -> float:
-        return tasks.classification_accuracy(y_hat, labels)
-
-
 def build_task(cfg: ExperimentConfig):
-    if cfg.task == "pixels":
-        return _PixelTask(cfg)
-    return _SyntheticTask(cfg)
+    """The task ``cfg`` trains on; the one place a config meets its data.
+    Pixels need ``data_dir`` (or $TPROP_DATA_DIR) holding the four IDX
+    files, a batch no larger than the training split and a k dividing the
+    image, else ConfigError; the test split is read on first evaluation."""
+    if cfg.task != "pixels":
+        return tasks.SyntheticTask(cfg.task, cfg.T, cfg.batch)
+    root = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
+    if not root:
+        raise ConfigError(f"pixels task needs data_dir or ${DATA_DIR_ENV} "
+                          "pointing at the IDX files")
+    paths = [os.path.join(root, f"{split}-{kind}") for split in ("train", "t10k")
+             for kind in ("images-idx3-ubyte", "labels-idx1-ubyte")]
+    for path in paths:
+        if not os.path.exists(path):
+            raise ConfigError(f"missing dataset file {path}")
+    train = tasks.load_idx(*paths[:2])
+    if cfg.batch > train.n:
+        raise ConfigError(f"batch {cfg.batch} exceeds the {train.n} training images")
+    if train.pixels % cfg.k != 0:
+        raise ConfigError(f"k={cfg.k} does not divide {train.pixels} pixels")
+    permutation = tasks.fixed_permutation(cfg.perm_seed, train.pixels) if cfg.permute else None
+    return tasks.PixelTask(train, paths[2:], cfg.batch, cfg.k, permutation)
 
 
 def init_model(cfg: ExperimentConfig, task, seed: int):
@@ -362,28 +309,17 @@ def cell_passes(params):
 
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> float:
-    """Held-out accuracy: fresh batches drawn from ``rng`` for synthetic
-    tasks; for images the test split, in n_batches slices of 250 or all of
-    it for n_batches = 0, with ``rng`` unread (None will do).
-    The forward passes keep no per-step states, so memory does not grow
-    with the sequence length. A negative n_batches raises ValueError."""
+    """Held-out accuracy by the task's protocol: for a synthetic task the
+    mean over n_batches fresh batches from ``rng``, one for n_batches = 0;
+    for pixels the test split in n_batches slices of 250 or all of it for
+    n_batches = 0, with ``rng`` unread (None will do). The forward passes
+    keep no per-step states, so memory does not grow with the sequence
+    length. A negative n_batches raises ValueError."""
     if n_batches < 0:
         raise ValueError(f"n_batches must be >= 0, got {n_batches}")
     forward = cell_passes(params)[0]
-    if isinstance(task, _PixelTask):
-        n = task.test.n if n_batches == 0 else min(task.test.n, 250 * n_batches)
-        correct = 0
-        for start in range(0, n, 250):
-            b = tasks.image_batch(task.test, np.arange(start, min(start + 250, n)), task.d,
-                                  task.permutation)
-            cache = forward(params, b.inputs, states=False)
-            correct += int(np.sum(np.argmax(cache.y_hat, axis=0) == b.labels))
-        return correct / n
-    accs = []
-    for _ in range(n_batches or 1):
-        b = task.sample(rng)
-        accs.append(task.accuracy(forward(params, b.inputs, states=False).y_hat, b.labels))
-    return float(np.mean(accs))
+    return task.held_out_accuracy(
+        lambda inputs: forward(params, inputs, states=False).y_hat, n_batches, rng)
 
 
 def train(cfg: ExperimentConfig, params=None) -> TrainResult:
@@ -409,6 +345,7 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
         stepsize, momentum = cfg.gamma, cfg.momentum
     else:
         stepsize, momentum = cfg.gamma_theta, 0.0
+    eval_every = cfg.eval_every if task.has_test_split else 0
     log = MetricsLog()
     hs = None  # the state stack every rollout of the run writes into
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -440,11 +377,7 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
             log.losses.append(loss)
             log.accs.append(acc)
             log.wall_ms.append((time.perf_counter() - t0) * 1000.0)
-            if (
-                isinstance(task, _PixelTask)
-                and cfg.eval_every > 0
-                and (it + 1) % cfg.eval_every == 0
-            ):
+            if eval_every and (it + 1) % eval_every == 0:
                 log.eval_iters.append(it)
                 log.eval_accs.append(evaluate(params, task, 0, None))
             if cfg.stop_at_acc > 0 and log.running_accuracy() >= cfg.stop_at_acc:
