@@ -65,7 +65,10 @@ def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
             f"W^T W + {r} I is not positive definite (rank-deficient W?)"
         ) from exc
     _factorizations += len(A) if A.ndim == 3 else 1
-    V = np.linalg.solve(A, W.mT)
+    try:  # LU can still meet a zero pivot in a matrix Cholesky just passed
+        V = np.linalg.solve(A, W.mT)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"ridge solve failed: {exc}") from exc
     if not np.all(np.isfinite(V)):
         raise SingularSystem("ridge solve produced non-finite entries")
     return V

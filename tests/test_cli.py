@@ -107,6 +107,18 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert log.diverged and log.diverged_at is not None
 
 
+def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys):
+    # At iteration 2 the r = 0 system passes its Cholesky check but the
+    # solve meets a zero pivot: a divergence, not an error.
+    out = tmp_path / "pivot"
+    argv = ["train", "--task", "temporal-order", "--T", "14", "--hidden", "8",
+            "--batch", "4", "--seed", "3", "--gamma-theta", "0.1", "--r", "0",
+            "--iters", "30", "--eval-every", "0", "--out", str(out)]
+    assert main(argv) == EXIT_DIVERGED
+    assert capsys.readouterr().out.startswith("diverged task=temporal-order method=tp at_iter=2")
+    assert trainer.MetricsLog.from_csv(str(out / "metrics.csv")).diverged_at == 2
+
+
 def test_train_rejects_bad_config_value(tmp_path, capsys):
     data = tmp_path / "idx"
     write_tiny_idx(data)

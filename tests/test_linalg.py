@@ -64,6 +64,17 @@ def test_ridge_pinv_singular_raises():
         ridge_pinv(W, 0.0)
 
 
+def test_ridge_pinv_turns_a_failed_solve_into_singular_system(monkeypatch):
+    # LU can meet a zero pivot in a matrix whose Cholesky check passed
+    # (a trained W near 1e27 does); that is a singular system too.
+    def zero_pivot(A, B):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", zero_pivot)
+    with pytest.raises(SingularSystem, match="Singular matrix"):
+        ridge_pinv(np.eye(3), 0.0)
+
+
 def test_ridge_pinv_rejects_nonfinite():
     W = np.eye(2)
     W[0, 1] = np.nan

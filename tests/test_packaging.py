@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import re
@@ -62,3 +63,15 @@ def test_every_module_stays_below_4096_tokens():
         with path.open("rb") as f:
             n = sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
         assert n < 4096, (path.name, n)
+
+
+def test_tasks_module_does_not_import_the_trainer():
+    # the trainer builds tasks; an import back would be a cycle
+    tree = ast.parse((Path(tprop.__file__).parent / "tasks.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not any("trainer" in name for name in names), names

@@ -8,6 +8,8 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprop import gru, rnn, targetprop, tasks, trainer
 from tprop.targetprop import TpHyper, tp_direction
@@ -162,6 +164,30 @@ def test_training_area_constant_loss_convention():
     npt.assert_allclose(training_area([]), 0.0, atol=0)
 
 
+_CELL_METHODS = st.one_of(
+    st.tuples(st.just("rnn"), st.sampled_from(sorted(trainer.ACTIVATIONS)),
+              st.sampled_from(trainer.METHODS)),
+    st.tuples(st.just("gru"), st.just("tanh"), st.sampled_from(["bp", "tp"])),
+)
+
+
+@given(cell=_CELL_METHODS, r=st.sampled_from([0.0, 1e-8, 1.0]),
+       step=st.floats(min_value=0.0, max_value=10.0),
+       task=st.sampled_from(["temporal-order", "adding"]), T=st.integers(10, 14),
+       hidden=st.integers(3, 8), batch=st.integers(1, 4), seed=st.integers(0, 2**16))
+@settings(max_examples=50, derandomize=True)
+def test_train_never_raises_on_a_valid_config(cell, r, step, task, T, hidden, batch, seed):
+    # A run that breaks records where; it never raises. The stepsize is
+    # both gamma (bp) and gamma_theta (the tp rules).
+    model, activation, method = cell
+    cfg = small_config(task=task, T=T, model=model, activation=activation, method=method,
+                       hidden=hidden, batch=batch, r=r, gamma=step, gamma_theta=step,
+                       iters=30, seed=seed)
+    cfg.validate()
+    log = train(cfg).log
+    assert len(log.losses) == (log.diverged_at if log.diverged else cfg.iters)
+
+
 def test_grid_search_single_cell():
     cfg = small_config(iters=6)
     cells = grid_search(cfg, [0.1], [1.0], horizon=6)
@@ -180,6 +206,16 @@ def test_grid_search_marks_diverged_cells():
     assert np.isnan(by_r[0.0].area)
     assert not by_r[1.0].diverged
     assert np.isfinite(by_r[1.0].area)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_search_records_a_zero_pivot_cell_as_diverged(jobs):
+    # the r = 0 cell's solve meets a zero pivot after a passing Cholesky
+    # check; the grid goes on and the cell comes back diverged
+    base = small_config(T=14, hidden=8, batch=4, seed=3)
+    cells = grid_search(base, [0.1], [0.0, 1.0], horizon=30, jobs=jobs)
+    assert [(c.r, c.diverged) for c in cells] == [(0.0, True), (1.0, False)]
+    assert np.isnan(cells[0].area) and np.isfinite(cells[1].area)
 
 
 def test_grid_search_checks_every_cell_before_the_first_trains(monkeypatch):
@@ -255,6 +291,15 @@ def test_evaluate_zeroed_model_at_chance():
         tensor[...] = 0.0
     acc = evaluate(params, task, n_batches=100, rng=np.random.default_rng(5))
     assert abs(acc - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 10_000)
+
+
+def test_evaluate_scores_one_fresh_batch_of_a_synthetic_task_for_zero_batches():
+    cfg = small_config()
+    task = build_task(cfg)
+    params = init_model(cfg, task, seed=3)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert evaluate(params, task, 0, rng) == evaluate(params, task, 1, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_evaluate_rejects_a_negative_batch_count(tmp_path):
