@@ -1,8 +1,12 @@
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import tprop
 
 settings.register_profile(
     "default",
@@ -35,3 +39,13 @@ def _traced_peak(fn) -> int:
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture
+def env_with_src():
+    """The environment with this checkout's src directory on PYTHONPATH, for
+    child interpreters."""
+    src = str(Path(tprop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tprop import linalg
 from tprop.linalg import (
     DimensionMismatch,
     SingularSystem,
@@ -176,3 +182,143 @@ def test_spectral_norm_against_svd_oracle(rng):
     for A, want in ((np.array([[1.0, -1.0], [1.0, -1.0]]), 2.0),
                     (R @ np.diag([1.0, 5.0]) @ R.T, 5.0)):
         npt.assert_allclose(spectral_norm(A), want, rtol=1e-12)
+
+
+def _child(code, env):
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+_BITS = """
+import hashlib
+import numpy as np
+from tprop.linalg import orthogonal, ridge_pinv, spectral_norm
+gen = np.random.default_rng(5)
+outs = {
+    "ridge_pinv p=100": ridge_pinv(gen.standard_normal((100, 100)), 1.0),
+    "ridge_pinv p=256": ridge_pinv(gen.standard_normal((256, 256)), 0.1),
+    "ridge_pinv (3, 100, 100)": ridge_pinv(gen.standard_normal((3, 100, 100)), 1.0),
+    "orthogonal(100, 100)": orthogonal(np.random.default_rng(3), 100, 100),
+    "spectral_norm": np.float64(spectral_norm(gen.standard_normal((100, 100)))),
+}
+for name, out in outs.items():
+    print(name, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_openblas_num_threads(env_with_src):
+    one, two = (_child(_BITS, {**env_with_src, "OPENBLAS_NUM_THREADS": n}).splitlines()
+                for n in ("1", "2"))
+    assert len(one) == 5
+    assert one == two
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread count, set to 2 for the test and put back after."""
+    if linalg._blas_threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, put = linalg._blas_threads
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_every_linalg_call_runs_on_one_blas_thread_and_restores_the_count(
+        blas_threads, monkeypatch):
+    seen = []
+    for name in ("qr", "cholesky", "solve", "norm"):
+        def spy(*args, _f=getattr(np.linalg, name), **kwargs):
+            seen.append(blas_threads())
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    W = orthogonal_init(6, 0)
+    assert blas_threads() == 2
+    ridge_pinv(W, 1.0)
+    ridge_pinv(np.stack([W, W]), 1.0)
+    spectral_norm(W)
+    assert blas_threads() == 2
+    assert seen == [1] * 6  # qr; cholesky and solve, twice; norm
+    with pytest.raises(SingularSystem):
+        ridge_pinv(np.zeros((3, 3)), 0.0)
+    assert blas_threads() == 2
+    for bad in (lambda: ridge_pinv(W, -1.0), lambda: ridge_pinv(np.ones(3), 1.0),
+                lambda: spectral_norm(np.ones((2, 2, 2)))):
+        with pytest.raises(ValueError):
+            bad()
+        assert blas_threads() == 2
+
+
+def test_nested_caps_restore_the_outer_count(blas_threads):
+    with linalg._one_blas_thread():
+        assert blas_threads() == 1
+        with linalg._one_blas_thread():
+            ridge_pinv(np.eye(3), 1.0)
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+        with pytest.raises(SingularSystem):
+            ridge_pinv(np.zeros((3, 3)), 0.0)
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_concurrent_calls_restore_the_count(blas_threads):
+    # the count is process-wide, so overlapping calls from Python threads
+    # must not leave the cap behind when the last of them returns
+    W = orthogonal_init(5, 0)
+    errors = []
+
+    def work():
+        try:
+            for _ in range(300):
+                ridge_pinv(W, 1.0)
+                orthogonal(np.random.default_rng(0), 5, 5)
+        except Exception as exc:  # reported below by the test thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert blas_threads() == 2
+
+
+_STALL = """
+import os, statistics, time
+import numpy as np
+from tprop.linalg import orthogonal, ridge_pinv
+cpu = min(os.sched_getaffinity(0))
+for tid in os.listdir("/proc/self/task"):
+    os.sched_setaffinity(int(tid), {cpu})
+rng = np.random.default_rng(0)
+W = orthogonal(rng, 100, 100)
+for call in (lambda: orthogonal(rng, 100, 100), lambda: ridge_pinv(W, 1.0)):
+    ms = []
+    for _ in range(5):
+        t = time.perf_counter()
+        call()
+        ms.append(1e3 * (time.perf_counter() - t))
+    print(statistics.median(ms))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU affinity")
+def test_p100_calls_do_not_stall_with_every_thread_on_one_cpu(env_with_src):
+    # A second OpenBLAS thread sharing the main thread's CPU made a 100 x 100
+    # QR take ~144 ms and a ridge solve ~104 ms; on one thread both take ~0.5 ms.
+    out = _child(_STALL, {**env_with_src, "OPENBLAS_NUM_THREADS": "2"})
+    qr_ms, ridge_ms = map(float, out.split())
+    assert qr_ms < 20, qr_ms
+    assert ridge_ms < 20, ridge_ms

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import os
 import re
 import subprocess
 import sys
@@ -10,39 +9,30 @@ from pathlib import Path
 import tprop
 
 
-def _env_with_src():
-    """The environment with this checkout's src directory on PYTHONPATH."""
-    src = str(Path(tprop.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(env_with_src):
     # nor process-pool machinery: grid_search(jobs > 1) forks its workers
     # with os.fork, so a two-process grid loads no multiprocessing either
-    env = _env_with_src()
     code = ("import sys, tprop\n"
             "cfg = tprop.ExperimentConfig(T=10, hidden=4, batch=2, eval_every=0)\n"
             "cells = tprop.grid_search(cfg, [0.05, 0.1], [1.0], horizon=2, jobs=2)\n"
             "assert len(cells) == 2\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in"
             " ('scipy', 'multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env_with_src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(env_with_src):
     out = subprocess.run([sys.executable, "-m", "tprop", "check", "--help"],
-                         env=_env_with_src(), capture_output=True, text=True)
+                         env=env_with_src, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "--suite" in out.stdout
 
 
-def test_train_help_lists_every_setting():
+def test_train_help_lists_every_setting(env_with_src):
     out = subprocess.run([sys.executable, "-m", "tprop", "train", "--help"],
-                         env=_env_with_src(), capture_output=True, text=True)
+                         env=env_with_src, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     flags = set(re.findall(r"--[\w-]+", out.stdout))
     for fld in dataclasses.fields(tprop.trainer.ExperimentConfig):
