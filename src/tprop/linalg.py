@@ -8,13 +8,22 @@ per backward call, however long the sequence); ``ridge_pinv`` solves a
 matrix or a stack of them at once.
 
 Every LAPACK and BLAS call made here runs on one OpenBLAS thread, and the
-caller's thread count is restored on return. At p = 100 a second thread
-buys nothing: when its worker starts on the main thread's CPU, a 100 x 100
-QR took 144 ms and a solve 104 ms instead of 0.34 ms and 0.27 ms (2-core
-x86-64, numpy 2.4 with OpenBLAS 0.3.31), and the threaded LU touched about
-0.5 MB more memory. The bits no longer depend on ``OPENBLAS_NUM_THREADS``;
-every numpy call outside this module keeps the caller's threading. With a
-BLAS other than OpenBLAS the cap does nothing.
+caller's thread count is restored on return. The cap trades speed for
+predictability. With a second thread whose worker started on the main
+thread's CPU, a 100 x 100 QR took 144 ms and a solve 104 ms instead of
+0.34 ms and 0.27 ms, and the threaded LU touched about 0.5 MB more memory;
+the bits no longer depend on ``OPENBLAS_NUM_THREADS``. When both threads
+run well, two are faster for larger systems: a p = 512 ``ridge_pinv``
+takes ~25 ms capped against ~23 ms threaded, and order-20 tp training at
+p = 100 ran 1.70 ms per iteration capped against 1.62 ms (the toggle
+itself costs ~3 us a call). ``orthogonal`` is faster capped at every size
+measured up to 512 (2-core x86-64, numpy 2.4 with OpenBLAS 0.3.31).
+
+The thread count is process-wide. While a call here runs, numpy calls in
+other Python threads also run on one OpenBLAS thread, and a count another
+thread sets meanwhile is overwritten on restore; so every other numpy call
+keeps the caller's threading only when one Python thread uses numpy. With
+a BLAS other than OpenBLAS the cap does nothing.
 """
 
 from __future__ import annotations
