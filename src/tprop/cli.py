@@ -265,15 +265,19 @@ def cmd_check(args) -> int:
 _BENCH_TASK = types.SimpleNamespace(d=4, n_out=4, output_kind=rnn.SOFTMAX_CE)
 
 
-def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
+def bench_point(taus, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
     """Median per-iteration wall time of forward + backward for every
-    method of one model at one (tau, p), plus inversions per call: bp, tp,
-    tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for the GRU. Every
-    round times each method in that order, so a slow spell of the host
-    lands on all of them; 3 warm-up rounds go untimed."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
-    y = rng.integers(0, _BENCH_TASK.n_out, size=batch)
+    method of one model at each tau of ``taus`` and one p, plus inversions
+    per call: bp, tp, tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for
+    the GRU. Every round times each method in that order at each tau in
+    turn, so a slow spell of the host lands on all of them; 3 warm-up rounds
+    go untimed. Each tau's batch is drawn from its own default_rng(seed).
+    Rows come back tau-major."""
+    batches = []
+    for tau in taus:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
+        batches.append((x, rng.integers(0, _BENCH_TASK.n_out, size=batch)))
     hyper = targetprop.TpHyper(gamma_h=1e-2, r=1.0)
     params = trainer.init_model(trainer.ExperimentConfig(model=model, hidden=p),
                                 _BENCH_TASK, seed)
@@ -288,19 +292,21 @@ def bench_point(tau: int, p: int, batch: int, reps: int, seed: int = 0, model: s
     prefix = "" if model == "rnn" else f"{model}-"
     methods = trainer.METHODS if model == "rnn" else trainer._GRU_METHODS
     backward = {prefix + method: backward_of(method) for method in methods}
-    times = {method: [] for method in backward}
-    inversions = dict.fromkeys(backward, 0)
+    points = [(i, method) for i in range(len(batches)) for method in backward]
+    times = {point: [] for point in points}
+    inversions = dict.fromkeys(points, 0)
     for rnd in range(-3, reps):
-        for method, back in backward.items():
+        for i, method in points:
+            x, y = batches[i]
             before = linalg.factorization_count()
             t0 = time.perf_counter()
-            back(params, forward(params, x), y)
+            backward[method](params, forward(params, x), y)
             ms = (time.perf_counter() - t0) * 1000.0
             if rnd >= 0:
-                times[method].append(ms)
-                inversions[method] += linalg.factorization_count() - before
-    return [(tau, p, method, float(np.median(times[method])), inversions[method] // reps)
-            for method in backward]
+                times[i, method].append(ms)
+                inversions[i, method] += linalg.factorization_count() - before
+    return [(taus[i], p, method, float(np.median(times[i, method])),
+             inversions[i, method] // reps) for i, method in points]
 
 
 def cmd_bench(args) -> int:
@@ -311,9 +317,8 @@ def cmd_bench(args) -> int:
         raise trainer.ConfigError("tau, p and reps must be positive")
     lines = ["tau,p,method,ms_per_iter,inversions"]
     for p in ps:
-        for tau in taus:
-            for row in bench_point(tau, p, cfg.batch, args.reps, cfg.seed, cfg.model):
-                lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]:.4f},{row[4]}")
+        for row in bench_point(taus, p, cfg.batch, args.reps, cfg.seed, cfg.model):
+            lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]:.4f},{row[4]}")
     text = "\n".join(lines) + "\n"
     if args.out:
         trainer.write_text_atomic(args.out, text)

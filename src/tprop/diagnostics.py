@@ -65,27 +65,14 @@ class SuiteCheck:
     bound: float
 
 
-def finite_diff_check(
-    loss_fn,
-    tensors: dict,
-    grads: dict,
-    step: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> FdReport:
-    """Central-difference check of an analytic gradient.
+def finite_diff_check(loss_fn, tensors: dict, grads: dict, step: float = 1e-5) -> FdReport:
+    """Central-difference check of an analytic gradient at every coordinate.
 
     ``loss_fn`` takes no arguments and evaluates the loss at the current
     contents of ``tensors``; coordinates are wiggled in place and restored.
-    Checks every coordinate unless ``max_coords`` caps the count (a seeded
-    random subsample is used then, at least 200 is sensible for big models).
     Relative error per coordinate is |fd - g| / max(|fd|, |g|, 1e-6).
     """
     coords = [(name, i) for name, arr in tensors.items() for i in range(arr.size)]
-    if max_coords is not None and len(coords) > max_coords:
-        rng = rng or np.random.default_rng(0)
-        pick = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in pick]
     max_rel, worst = 0.0, ("", -1)
     for name, i in coords:
         arr = tensors[name]
@@ -297,44 +284,38 @@ def _orthogonal_rnn(rng, p, d, n_out, activation, w, wx, wy, bh) -> rnn.RnnParam
     )
 
 
-def _tanh_instance(seed, tau=6, p=6, d=3, n_out=3, B=2,
-                   w=0.9, wx=0.5, wy=0.3, x_scale=0.5):
+def _rnn_instance(seed, activation, tau, p, d, n_out, B, w, wx, wy, bh, x_scale=1.0):
+    """An _orthogonal_rnn, x_scale-scaled Gaussian inputs and uniform labels,
+    drawn in that order from default_rng(seed), and the forward cache."""
     rng = np.random.default_rng(seed)
-    params = _orthogonal_rnn(rng, p, d, n_out, "tanh", w=w, wx=wx, wy=wy, bh=0.1)
+    params = _orthogonal_rnn(rng, p, d, n_out, activation, w, wx, wy, bh)
     x = x_scale * rng.standard_normal((tau, d, B))
     y = rng.integers(0, n_out, size=B)
-    cache = rnn.forward(params, x)
-    return params, cache, y
+    return params, rnn.forward(params, x), y
 
 
-def _grad_rnn_instance(seed, tau=10, p=5, d=3, n_out=4, B=3):
+def _tanh_instance(seed, tau=6, B=2):
+    return _rnn_instance(seed, "tanh", tau, 6, 3, 3, B, 0.9, 0.5, 0.3, 0.1, x_scale=0.5)
+
+
+def _identity_instance(seed):
+    return _rnn_instance(seed, "identity", 20, 8, 4, 3, 4, 1.0, 1.0, 0.3, 0.2)
+
+
+def _grad_instance(cell, seed, tau, p, d, n_out, B):
+    """The cell's ("rnn" or "gru") own init at seed, every bias redrawn at
+    scale 0.1 in tensors() order from default_rng(seed), then the inputs and
+    labels from that rng."""
+    if cell == "gru":
+        params = gru_mod.init_gru_params(p, d, n_out, rnn.SOFTMAX_CE, seed)
+    else:
+        params = rnn.init_params(p, d, n_out, "tanh", rnn.SOFTMAX_CE, seed)
     rng = np.random.default_rng(seed)
-    params = rnn.init_params(p, d, n_out, "tanh", rnn.SOFTMAX_CE, seed)
-    params.b_h[:] = 0.1 * rng.standard_normal(p)
-    params.b_y[:] = 0.1 * rng.standard_normal(n_out)
-    x = rng.standard_normal((tau, d, B))
-    y = rng.integers(0, n_out, size=B)
-    return params, x, y
-
-
-def _grad_gru_instance(seed, tau=3, p=4, d=2, n_out=3, B=3):
-    rng = np.random.default_rng(seed)
-    params = gru_mod.init_gru_params(p, d, n_out, rnn.SOFTMAX_CE, seed)
     for name, t in params.tensors().items():
         if name.startswith("b"):
             t[:] = 0.1 * rng.standard_normal(t.shape)
     x = rng.standard_normal((tau, d, B))
-    y = rng.integers(0, n_out, size=B)
-    return params, x, y
-
-
-def _identity_instance(seed, tau=20, p=8, d=4, n_out=3, B=4):
-    rng = np.random.default_rng(seed)
-    params = _orthogonal_rnn(rng, p, d, n_out, "identity", w=1.0, wx=1.0, wy=0.3, bh=0.2)
-    x = rng.standard_normal((tau, d, B))
-    y = rng.integers(0, n_out, size=B)
-    cache = rnn.forward(params, x)
-    return params, cache, y
+    return params, x, rng.integers(0, n_out, size=B)
 
 
 def _substitution_gap(d: dict, grads: dict, gamma_h: float) -> float:
@@ -355,26 +336,16 @@ def _substitution_gap(d: dict, grads: dict, gamma_h: float) -> float:
 
 def suite_grad(seeds=range(5)) -> list[SuiteCheck]:
     out = []
-    for seed in seeds:
-        params, x, y = _grad_rnn_instance(seed)
-        cache = rnn.forward(params, x)
-        grads = rnn.bptt(params, cache, y)
-        rep = finite_diff_check(
-            lambda: rnn.loss(y, rnn.forward(params, x)),
-            params.tensors(), grads, step=1e-5,
-        )
-        out.append(SuiteCheck("grad", f"rnn-fd-seed{seed}",
-                              rep.max_rel_err <= 1e-4, rep.max_rel_err, 1e-4))
-    for seed in seeds:
-        params, x, y = _grad_gru_instance(seed)
-        cache = gru_mod.gru_forward(params, x)
-        grads = gru_mod.gru_bptt(params, cache, y)
-        rep = finite_diff_check(
-            lambda: rnn.loss(y, gru_mod.gru_forward(params, x)),
-            params.tensors(), grads, step=1e-5,
-        )
-        out.append(SuiteCheck("grad", f"gru-fd-seed{seed}",
-                              rep.max_rel_err <= 1e-4, rep.max_rel_err, 1e-4))
+    for cell, forward, bptt, shape in (
+            ("rnn", rnn.forward, rnn.bptt, (10, 5, 3, 4, 3)),
+            ("gru", gru_mod.gru_forward, gru_mod.gru_bptt, (3, 4, 2, 3, 3))):
+        for seed in seeds:
+            params, x, y = _grad_instance(cell, seed, *shape)
+            grads = bptt(params, forward(params, x), y)
+            rep = finite_diff_check(lambda: rnn.loss(y, forward(params, x)),
+                                    params.tensors(), grads)
+            out.append(SuiteCheck("grad", f"{cell}-fd-seed{seed}",
+                                  rep.max_rel_err <= 1e-4, rep.max_rel_err, 1e-4))
     return out
 
 
@@ -426,7 +397,7 @@ DTP_GAMMAS = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
 
 
 def suite_dtp(seed=3) -> list[SuiteCheck]:
-    params, cache, y = _tanh_instance(seed, tau=8, p=6, d=3, B=4)
+    params, cache, y = _tanh_instance(seed, tau=8, B=4)
     gaps = dtp_linearization_gap(params, cache, y, DTP_GAMMAS, r=1.0)
     out = []
     for i in range(len(gaps) - 1):
@@ -440,7 +411,7 @@ def suite_gru(seeds=range(5)) -> list[SuiteCheck]:
     out = []
     gamma_h = 0.01
     for seed in seeds:
-        params, x, y = _grad_gru_instance(seed, tau=6, p=5, d=3, B=3)
+        params, x, y = _grad_instance("gru", seed, 6, 5, 3, 3, 3)
         cache = gru_mod.gru_forward(params, x)
         grads = gru_mod.gru_bptt(params, cache, y)
         hyper = TpHyper(gamma_h=gamma_h, r=1.0)

@@ -218,11 +218,10 @@ def test_criterion_09_regularization_necessity(announce):
 
 def test_criterion_10_cost_ratio_amortizes(announce):
     t0 = time.perf_counter()
-    ratios = {}
-    for tau in (50, 784):
-        rows = bench_point(tau, 100, 4, reps=15)
-        by = {method: ms for _, _, method, ms, _ in rows}
-        ratios[tau] = by["tp"] / by["bp"]
+    # one call interleaves the two sequence lengths in every round, so a
+    # burst of load from elsewhere on the host lands on both ratios
+    by = {(tau, method): ms for tau, _, method, ms, _ in bench_point((50, 784), 100, 4, reps=15)}
+    ratios = {tau: by[tau, "tp"] / by[tau, "bp"] for tau in (50, 784)}
     elapsed = time.perf_counter() - t0
     ok = ratios[784] < ratios[50] and ratios[784] <= 2.5
     announce.report(10, ok, f"tp/bp per-iter ratio {ratios[50]:.2f} at tau=50 -> "

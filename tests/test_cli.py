@@ -7,9 +7,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
-from tprop import trainer
+from tprop import diagnostics, trainer
 from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _add_config_flags, _config_from_args,
                        bench_point, build_parser, main, write_heatmap_svg)
 
@@ -347,21 +348,27 @@ def test_grid_rejects_a_bad_cell_before_training(tmp_path, capsys):
 
 
 def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
-    calls = []
+    calls, taus = [], []
     real = trainer.cell_passes
 
     def recording(params):
         forward, bptt, tp_backward = real(params)
 
+        def fwd(params, x):
+            # each tau times the batch of a one-tau call at the same seed
+            npt.assert_array_equal(x, np.random.default_rng(0).standard_normal(x.shape))
+            taus.append(len(x))
+            return forward(params, x)
+
         def bp(*args):
-            calls.append("bp")
+            calls.append(("bp", taus[-1]))
             return bptt(*args)
 
         def tp(*args):
-            calls.append(args[-1].variant)  # the TpHyper
+            calls.append((args[-1].variant, taus[-1]))  # the TpHyper
             return tp_backward(*args)
 
-        return forward, bp, tp
+        return fwd, bp, tp
 
     monkeypatch.setattr(trainer, "cell_passes", recording)
     rnn_round = ["bp", "linearized", "finite_difference", "exact_inverse"]
@@ -369,10 +376,13 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
             ("rnn", ["bp", "tp", "tp-dtp", "tp-exact"], rnn_round, [0, 1, 1, 1]),
             ("gru", ["gru-bp", "gru-tp"], ["bp", "linearized"], [0, 3])):
         calls.clear()
-        rows = bench_point(5, 4, 2, reps=4, model=model)
-        assert calls == order * (3 + 4), model  # 3 warm-up rounds, then 4 timed
-        assert [method for _, _, method, _, _ in rows] == names
-        assert [inv for *_, inv in rows] == inv
+        rows = bench_point((5, 7), 4, 2, reps=4, model=model)
+        # 3 warm-up rounds, then 4 timed, each running every method at both taus
+        one_round = [(name, tau) for tau in (5, 7) for name in order]
+        assert calls == one_round * (3 + 4), model
+        assert [(tau, method) for tau, _, method, _, _ in rows] == [
+            (tau, name) for tau in (5, 7) for name in names]
+        assert [inv for *_, inv in rows] == inv * 2
 
 
 def test_bench_rejects_a_negative_seed(tmp_path, capsys):
@@ -431,6 +441,17 @@ def test_check_suite_reports_all_pass(capsys):
     for line in out[1:]:
         fields = line.split(",")
         assert fields[0] == "dtp" and fields[2] == "pass"
+
+
+def test_check_exits_usage_on_a_failed_check(monkeypatch, capsys):
+    failing = diagnostics.SuiteCheck("dtp", "forced", False, 2.0, 1.0)
+    monkeypatch.setitem(diagnostics.SUITES, "dtp", lambda: [failing])
+    for suite in ("dtp", "all"):
+        assert main(["check", "--suite", suite]) == EXIT_USAGE
+        out = capsys.readouterr().out.splitlines()
+        assert "dtp,forced,fail,2,1" in out, suite
+    # a failed check does not stop the suites after it
+    assert {line.split(",")[0] for line in out[1:]} == set(diagnostics.SUITES)
 
 
 def test_check_rejects_unknown_suite():

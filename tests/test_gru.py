@@ -5,7 +5,6 @@ import pytest
 from tprop import linalg
 from tprop.gru import (
     RECURRENT_TENSORS,
-    GruParams,
     gru_bptt,
     gru_forward,
     gru_tp_backward,

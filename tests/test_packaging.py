@@ -65,3 +65,28 @@ def test_tasks_module_does_not_import_the_trainer():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert not any("trainer" in name for name in names), names
+
+
+def test_every_module_uses_what_it_imports():
+    # no linter is required to run the suite, so this stands in for the
+    # unused-import rule; __init__.py imports names to re-export them
+    src = Path(tprop.__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
