@@ -265,7 +265,8 @@ def cmd_check(args) -> int:
 _BENCH_TASK = types.SimpleNamespace(d=4, n_out=4, output_kind=rnn.SOFTMAX_CE)
 
 
-def bench_point(taus, p: int, batch: int, reps: int, seed: int = 0, model: str = "rnn"):
+def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int,
+                seed: int = 0, model: str = "rnn"):
     """Median per-iteration wall time of forward + backward for every
     method of one model at each tau of ``taus`` and one p, plus inversions
     per call: bp, tp, tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for
