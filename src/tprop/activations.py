@@ -52,6 +52,13 @@ class Activation:
         function theorem; ``deriv`` takes the output, so it reads proj(v)."""
         return 1.0 / self.deriv(self.project(v, eps))
 
+    def deriv_floor(self, eps: float):
+        """The least a'(h) over the projected range, reached at its clip ends:
+        1 / max(a'(h), floor) is ``inv_deriv(h, eps)`` without the clip, bit
+        for bit for tanh and identity and within an ulp for sigmoid, whose
+        ends eps and 1 - eps round apart."""
+        return self.deriv(np.array(self.projected_range(eps))).min()
+
     def _inverse(self, v):
         raise NotImplementedError
 

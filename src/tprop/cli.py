@@ -31,7 +31,7 @@ from html import escape
 
 import numpy as np
 
-from . import diagnostics, linalg, rnn, targetprop, trainer
+from . import diagnostics, linalg, rnn, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -267,7 +267,8 @@ _BENCH_TASK = types.SimpleNamespace(d=4, n_out=4, output_kind=rnn.SOFTMAX_CE)
 
 def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int,
                 seed: int = 0, model: str = "rnn"):
-    """Median per-iteration wall time of forward + backward for every
+    """Median per-iteration wall time of the forward and the step ``train``
+    takes (:func:`trainer.descent` at the default settings) for every
     method of one model at each tau of ``taus`` and one p, plus inversions
     per call: bp, tp, tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for
     the GRU. Every round times each method in that order at each tau in
@@ -279,21 +280,13 @@ def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((tau, _BENCH_TASK.d, batch))
         batches.append((x, rng.integers(0, _BENCH_TASK.n_out, size=batch)))
-    hyper = targetprop.TpHyper(gamma_h=1e-2, r=1.0)
-    params = trainer.init_model(trainer.ExperimentConfig(model=model, hidden=p),
-                                _BENCH_TASK, seed)
-    forward, bptt, tp_backward = trainer.cell_passes(params)
-
-    def backward_of(method):
-        if method == trainer.BP:
-            return bptt
-        tp_hyper = dataclasses.replace(hyper, variant=trainer._VARIANT_OF[method])
-        return lambda *a: tp_backward(*a, tp_hyper)
-
+    cfg = trainer.ExperimentConfig(model=model, hidden=p)
+    params = trainer.init_model(cfg, _BENCH_TASK, seed)
+    forward = trainer.cell_passes(params)[0]
     prefix = "" if model == "rnn" else f"{model}-"
-    methods = trainer.METHODS if model == "rnn" else trainer._GRU_METHODS
-    backward = {prefix + method: backward_of(method) for method in methods}
-    points = [(i, method) for i in range(len(batches)) for method in backward]
+    steps = {prefix + method: trainer.descent(params, dataclasses.replace(cfg, method=method))
+             for method in (trainer.METHODS if model == "rnn" else trainer.GRU_METHODS)}
+    points = [(i, method) for i in range(len(batches)) for method in steps]
     times = {point: [] for point in points}
     inversions = dict.fromkeys(points, 0)
     for rnd in range(-3, reps):
@@ -301,7 +294,7 @@ def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int
             x, y = batches[i]
             before = linalg.factorization_count()
             t0 = time.perf_counter()
-            backward[method](params, forward(params, x), y)
+            steps[method](params, forward(params, x), y)
             ms = (time.perf_counter() - t0) * 1000.0
             if rnd >= 0:
                 times[i, method].append(ms)

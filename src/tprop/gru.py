@@ -221,15 +221,18 @@ def gru_bptt(params: GruParams, cache: ForwardCache, y) -> Direction:
 def _linearized_inverse(Vs, eps: float):
     """TP's propagator: each transposed-Jacobian piece replaced by the
     linearized regularized inverse of its gate map, with Vs the (3, p, p)
-    stack of the inverses of W_hn, W_hz and W_hm. The logit derivative of
-    each gate is evaluated at the gate value projected into [eps, 1-eps]."""
+    stack of the inverses of W_hn, W_hz and W_hm. Each gate g's logit slope,
+    sigmoid's ``inv_deriv(g, eps)``, is 1 / max(g (1 - g), floor), as in the RNN."""
     V = np.concatenate(Vs, axis=1)
-    logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
+    floor = ACTIVATIONS["sigmoid"].deriv_floor(eps)
 
     def per_block(lo, hi, b: _Block):
         carry = 1.0 - b.z
-        kz = logit_deriv(b.z, eps) * (b.n - b.h[:-1])
-        km = logit_deriv(b.m, eps) * b.av
+        kz, km = b.z * carry, b.m * (1.0 - b.m)
+        for k in (kz, km):  # 1 / max(g (1 - g), floor), in place
+            np.reciprocal(np.maximum(k, floor, out=k), out=k)
+        kz *= b.n - b.h[:-1]
+        km *= b.av
         u = np.empty((3,) + carry.shape[1:])  # the three inverses' arguments
 
         def step(i, dh):

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rnn
-from .activations import Activation
 
 LINEARIZED = "linearized"
 FINITE_DIFFERENCE = "finite_difference"
@@ -97,16 +96,6 @@ def inverse_apply(
     return V @ (z - rnn._project(params.W_xh, x_t) - params.b_h[:, None])
 
 
-def _deriv_floor(act: Activation, eps: float):
-    """The least a'(h) over the projected range. a'(h) falls from the
-    interior toward both clip ends (1 - h h for tanh, h (1 - h) for sigmoid,
-    1 for identity), so flooring a'(h) there is clipping h, and
-    1 / max(a'(h), floor) is ``act.inv_deriv(h, eps)``: bit for bit for
-    tanh and identity, whose two ends give one value, and within an ulp for
-    sigmoid, whose ends eps and 1 - eps round apart."""
-    return act.deriv(np.array(act.projected_range(eps))).min()
-
-
 def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
                 variant: str, eps: float):
     """The displacement step lam_{t+1} -> lam_t of one variant, as the
@@ -118,7 +107,7 @@ def _propagator(params: rnn.RnnParams, cache: rnn.ForwardCache, V: np.ndarray,
     if variant == LINEARIZED:
         # V diag(da^{-1}(proj(h_t))) lam: the linearized inverse stands in for
         # the transposed layer Jacobian W_hh^T diag(a'(u_t)) of backprop
-        floor = _deriv_floor(act, eps)
+        floor = act.deriv_floor(eps)
 
         def linearized(lo, hi, es):
             S = np.maximum(es, floor)  # from es = a'(u_t), before the sweep overwrites it

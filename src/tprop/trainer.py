@@ -26,7 +26,7 @@ TP = "tp"
 TP_DTP = "tp-dtp"
 TP_EXACT = "tp-exact"
 METHODS = (BP, TP, TP_DTP, TP_EXACT)
-_GRU_METHODS = (BP, TP)  # the GRU has the linearized TP rule only
+GRU_METHODS = (BP, TP)  # the GRU has the linearized TP rule only
 
 TASKS = (tasks.TEMPORAL_ORDER, tasks.ADDING, "pixels")
 
@@ -97,7 +97,7 @@ class ExperimentConfig:
             value = getattr(self, fld.name)
             if fld.metadata["choices"] and value not in fld.metadata["choices"]:
                 raise ConfigError(f"unknown {fld.name} {value!r}")
-        if self.model == "gru" and self.method not in _GRU_METHODS:
+        if self.model == "gru" and self.method not in GRU_METHODS:
             raise ConfigError("gru supports methods bp and tp only")
         if self.hidden < 1 or self.batch < 1 or self.iters < 1:
             raise ConfigError("hidden, batch and iters must be positive")
@@ -308,6 +308,19 @@ def cell_passes(params):
     return rnn.forward, rnn.bptt, targetprop.tp_direction
 
 
+def descent(params, cfg: ExperimentConfig):
+    """The step ``train`` subtracts under cfg's method, as a function of
+    (params, cache, y): the BPTT gradient, or the negated TP direction of
+    the method's rule with cfg's gamma_h, r and epsilon. The passes are
+    read through :func:`cell_passes` when this is called."""
+    _, bptt, tp_backward = cell_passes(params)
+    if cfg.method == BP:
+        return bptt
+    hyper = targetprop.TpHyper(gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
+                               variant=_VARIANT_OF[cfg.method])
+    return lambda *a: {k: -v for k, v in tp_backward(*a, hyper).items()}
+
+
 def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> float:
     """Held-out accuracy by the task's protocol: for a synthetic task the
     mean over n_batches fresh batches from ``rng``, one for n_batches = 0;
@@ -334,13 +347,9 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     if params is None:
         params = init_model(cfg, task, int(s_init.generate_state(1)[0]))
     rng_data = np.random.default_rng(s_data)
-    forward, bptt, tp_backward = cell_passes(params)
+    forward, step = cell_passes(params)[0], descent(params, cfg)
     theta = params.tensors()
     velocity = {k: np.zeros_like(v) for k, v in theta.items()}
-    hyper = targetprop.TpHyper(
-        gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
-        variant=_VARIANT_OF.get(cfg.method, targetprop.LINEARIZED),
-    )
     if cfg.method == BP:
         stepsize, momentum = cfg.gamma, cfg.momentum
     else:
@@ -358,12 +367,8 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
                 log.diverged_at = it
                 break
             acc = task.accuracy(cache.y_hat, batch.labels)
-            try:  # descend along the BPTT gradient or the negated TP direction
-                if cfg.method == BP:
-                    g = bptt(params, cache, batch.labels)
-                else:
-                    g = {k: -v for k, v in
-                         tp_backward(params, cache, batch.labels, hyper).items()}
+            try:
+                g = step(params, cache, batch.labels)
             except SingularSystem:
                 log.diverged_at = it
                 break

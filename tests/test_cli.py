@@ -108,16 +108,40 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert log.diverged and log.diverged_at is not None
 
 
-def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys):
-    # At iteration 2 the r = 0 system passes its Cholesky check but the
+def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys, monkeypatch):
+    # At iteration at_iter the r = 0 system passes its Cholesky check but the
     # solve meets a zero pivot: a divergence, not an error.
-    out = tmp_path / "pivot"
-    argv = ["train", "--task", "temporal-order", "--T", "14", "--hidden", "8",
-            "--batch", "4", "--seed", "3", "--gamma-theta", "0.1", "--r", "0",
-            "--iters", "30", "--eval-every", "0", "--out", str(out)]
-    assert main(argv) == EXIT_DIVERGED
-    assert capsys.readouterr().out.startswith("diverged task=temporal-order method=tp at_iter=2")
-    assert trainer.MetricsLog.from_csv(str(out / "metrics.csv")).diverged_at == 2
+    failed = {}
+
+    def counted(name, fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except np.linalg.LinAlgError:
+                failed[name] = failed.get(name, 0) + 1
+                raise
+        return call
+
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for flags, at_iter in (
+            ("--task temporal-order --T 14 --hidden 8 --batch 4 --seed 3 --gamma-theta 0.1", 2),
+            ("--task adding --T 14 --hidden 9 --batch 3 --activation sigmoid "
+             "--gamma-theta 1.0 --seed 668", 12),
+            # the GRU's stacked solve of its three recurrent matrices
+            ("--task temporal-order --T 15 --hidden 5 --batch 4 --model gru "
+             "--gamma-theta 1.0 --seed 535", 3),
+            ("--task adding --T 17 --hidden 6 --batch 2 --method tp-dtp --activation tanh "
+             "--gamma-theta 1.0 --seed 790", 10)):
+        failed.clear()
+        out = tmp_path / str(at_iter)
+        argv = ["train", *flags.split(), "--r", "0", "--iters", "30", "--eval-every", "0",
+                "--out", str(out)]
+        assert main(argv) == EXIT_DIVERGED, flags
+        printed = capsys.readouterr().out
+        assert printed.startswith("diverged ") and f" at_iter={at_iter} " in printed, printed
+        assert trainer.MetricsLog.from_csv(str(out / "metrics.csv")).diverged_at == at_iter
+        assert failed == {"solve": 1}, flags
 
 
 def test_train_rejects_bad_config_value(tmp_path, capsys):
@@ -370,16 +394,28 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
 
         return fwd, bp, tp
 
+    steps = []
+    real_descent = trainer.descent
+
+    def descent(params, cfg):
+        # bench times the step train takes, built at the default settings
+        assert cfg == trainer.ExperimentConfig(model=cfg.model, hidden=4, method=cfg.method)
+        step = real_descent(params, cfg)
+        return lambda *args: steps.append(cfg.method) or step(*args)
+
     monkeypatch.setattr(trainer, "cell_passes", recording)
+    monkeypatch.setattr(trainer, "descent", descent)
     rnn_round = ["bp", "linearized", "finite_difference", "exact_inverse"]
     for model, names, order, inv in (
             ("rnn", ["bp", "tp", "tp-dtp", "tp-exact"], rnn_round, [0, 1, 1, 1]),
             ("gru", ["gru-bp", "gru-tp"], ["bp", "linearized"], [0, 3])):
         calls.clear()
+        steps.clear()
         rows = bench_point((5, 7), 4, 2, reps=4, model=model)
         # 3 warm-up rounds, then 4 timed, each running every method at both taus
         one_round = [(name, tau) for tau in (5, 7) for name in order]
         assert calls == one_round * (3 + 4), model
+        assert steps == [name.removeprefix("gru-") for _ in (5, 7) for name in names] * 7
         assert [(tau, method) for tau, _, method, _, _ in rows] == [
             (tau, name) for tau in (5, 7) for name in names]
         assert [inv for *_, inv in rows] == inv * 2

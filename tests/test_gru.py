@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import linalg
+from tprop import gru, linalg, rnn
 from tprop.gru import (
     RECURRENT_TENSORS,
     gru_bptt,
@@ -289,6 +289,55 @@ def test_tp_backward_matches_per_step_reference(rng, saturation):
         for name in RECURRENT_TENSORS:
             npt.assert_allclose(got[name], want[name], rtol=1e-12,
                                 atol=1e-15 * np.abs(want[name]).max(), err_msg=(tau, name))
+
+
+def _inv_deriv_propagator(Vs, eps):
+    """The GRU's linearized propagator with its gate slopes formed by
+    sigmoid's clip-form inv_deriv, as the rule is defined."""
+    V = np.concatenate(Vs, axis=1)
+    logit_deriv = ACTIVATIONS["sigmoid"].inv_deriv
+
+    def per_block(lo, hi, b):
+        kz = logit_deriv(b.z, eps) * (b.n - b.h[:-1])
+        km = logit_deriv(b.m, eps) * b.av
+
+        def step(i, dh):
+            da, _, _, dnu = b.deltas[:, :, i]
+            return (1.0 - b.z[i]) * dh + V @ np.concatenate((da, kz[i] * dh, km[i] * dnu))
+        return step
+    return per_block
+
+
+@pytest.mark.parametrize("saturation", [0.0, 40.0])
+def test_linearized_direction_matches_an_inv_deriv_propagator(saturation):
+    # The rule floors g (1 - g) at sigmoid's deriv_floor in place of
+    # clipping the gate g. With every gate inside [eps, 1 - eps] the bits
+    # match; where a gate saturates, the two clip ends round apart (see
+    # test_targetprop's floor test) and the directions agree within 1e-13.
+    gen = np.random.default_rng(21)
+    for i in range(20):
+        tau, B = int(gen.integers(1, 3 * _BLOCK)), int(gen.integers(1, 5))
+        params = init_gru_params(6, 2, 3, seed=i)
+        for k in ("b_m", "b_z", "b_in", "b_hn"):
+            getattr(params, k)[:] = 0.3 * gen.standard_normal(6)
+        if saturation:
+            params.b_z[...], params.b_m[...] = saturation, -saturation
+        hy = hyper(gamma_h=float(gen.choice([1e-3, 1e-2, 0.5])), r=float(gen.choice([0.1, 1.0])),
+                   epsilon=float(gen.choice([1e-3, 1e-2])))
+        cache = gru_forward(params, gen.standard_normal((tau, 2, B)))
+        y = gen.integers(0, 3, size=B)
+        gates = np.concatenate(rollout(params, cache.xs)[1:3])
+        assert np.any((gates < hy.epsilon) | (gates > 1.0 - hy.epsilon)) == bool(saturation)
+        Vs = linalg.ridge_pinv(np.stack((params.W_hn, params.W_hz, params.W_hm)), hy.r)
+        want = rnn._backward(params, cache, y, gru._blocks,
+                             _inv_deriv_propagator(Vs, hy.epsilon), hy.gamma_h)
+        got = gru_tp_backward(params, cache, y, hy)
+        for k in want:
+            if saturation:
+                gap = np.linalg.norm(got[k] - want[k])
+                assert gap <= 1e-13 * np.linalg.norm(want[k]), (i, k, gap)
+            else:
+                assert got[k].tobytes() == want[k].tobytes(), (i, k)
 
 
 def test_tp_backward_three_factorizations_per_call(rng, monkeypatch):

@@ -20,7 +20,6 @@ from tprop.targetprop import (
     FINITE_DIFFERENCE,
     LINEARIZED,
     TpHyper,
-    _deriv_floor,
     inverse_apply,
     tp_direction,
 )
@@ -222,7 +221,7 @@ def test_deriv_floor_reproduces_inv_deriv_bit_for_bit(name):
     act = ACTIVATIONS[name]
     gen = np.random.default_rng(1)
     for eps in (1e-3, 1e-2, 0.3, 0.49):
-        floor = _deriv_floor(act, eps)
+        floor = act.deriv_floor(eps)
         edge = 1.0 - eps
         near = np.concatenate([edge + np.arange(-3000, 3001) * np.spacing(edge),
                                np.linspace(edge - 1e-6, edge + 1e-6, 2001),
@@ -316,7 +315,7 @@ def test_exact_inverse_with_hoisted_projections_keeps_every_bit(d):
 
 @pytest.mark.parametrize("variant, bound", [
     ("bptt", 3.7), (LINEARIZED, 4.4), (FINITE_DIFFERENCE, 6.9), (EXACT_INVERSE, 4.9),
-    ("gru_bptt", 18.5), ("gru_tp_backward", 24.0)])
+    ("gru_bptt", 18.5), ("gru_tp_backward", 23.0)])
 def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
     # Counted in (_BLOCK, p, B) float64 blocks allocated above the params,
     # inputs and states; bptt peaks near 3.5 of them. The linearized rule
@@ -325,6 +324,8 @@ def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
     # flattened errors before it forms the next block's a' block. The GRU
     # re-runs each block into its block buffers (near 17.7 blocks for gru
     # bptt), and its contraction's (3, p, p) product is freed with the block.
+    # Gru tp peaks near 22.1, with its gate slopes, 1 / max(g (1 - g),
+    # floor), formed in place in their own two blocks.
     p, B = 100, 20
     xs = rng.standard_normal((60, 1, B))
     y = rng.integers(0, 4, size=B)
