@@ -39,9 +39,10 @@ import numpy as np
 
 from . import linalg, rnn
 
-LINEARIZED = "linearized"
-FINITE_DIFFERENCE = "finite_difference"
-EXACT_INVERSE = "exact_inverse"
+# Each rule is named as ``tprop train --method`` names it.
+LINEARIZED = "tp"
+FINITE_DIFFERENCE = "tp-dtp"
+EXACT_INVERSE = "tp-exact"
 VARIANTS = (LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE)
 
 
@@ -155,9 +156,9 @@ def tp_direction(
     after producing the displacement for step 1 (a step-0 displacement would
     multiply nothing). V comes from one ridge solve per call, behind one
     counted factorization.
-    The difference variant (finite_difference) agrees with the linearized
-    one up to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The
-    plain inverse variant (exact_inverse) drops the correction term. Its
+    The difference variant (tp-dtp) agrees with the linearized one (tp) up
+    to O(gamma_h^2): halving gamma_h shrinks the gap about 4x. The plain
+    inverse variant (tp-exact) drops the correction term. Its
     recursion amplifies rounding, so compare it by directions at a fixed
     cache, never by training trajectories: directions 4e-16 apart can end
     a 30-iteration run with parameters 4e-2 apart.

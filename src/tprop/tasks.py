@@ -11,6 +11,7 @@ permutation, and only its pixels are scaled to [0, 1]. A run trains on a
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -139,10 +140,13 @@ def adding_accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _read_exact(f, nbytes: int, path) -> bytes:
-    buf = f.read(nbytes)
-    if len(buf) < nbytes:
-        raise TruncatedFile(f"{path}: wanted {nbytes} bytes, got {len(buf)}")
-    return buf
+    """The next nbytes of f, checked against the file's size before a read
+    is sized by them: a header claiming more than the file holds raises
+    TruncatedFile, not MemoryError."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < nbytes:
+        raise TruncatedFile(f"{path}: wanted {nbytes} bytes, got {left}")
+    return f.read(nbytes)
 
 
 def _read_header(f, path, fmt: str) -> tuple[int, ...]:

@@ -22,21 +22,12 @@ from .activations import ACTIVATIONS
 from .linalg import SingularSystem
 
 BP = "bp"
-TP = "tp"
-TP_DTP = "tp-dtp"
-TP_EXACT = "tp-exact"
-METHODS = (BP, TP, TP_DTP, TP_EXACT)
-GRU_METHODS = (BP, TP)  # the GRU has the linearized TP rule only
+METHODS = (BP, *targetprop.VARIANTS)
+GRU_METHODS = (BP, targetprop.LINEARIZED)  # the GRU has the linearized TP rule only
 
 TASKS = (tasks.TEMPORAL_ORDER, tasks.ADDING, "pixels")
 
 DATA_DIR_ENV = "TPROP_DATA_DIR"
-
-_VARIANT_OF = {
-    TP: targetprop.LINEARIZED,
-    TP_DTP: targetprop.FINITE_DIFFERENCE,
-    TP_EXACT: targetprop.EXACT_INVERSE,
-}
 
 
 class ConfigError(ValueError):
@@ -79,7 +70,7 @@ class ExperimentConfig:
     model: str = _setting("rnn", "recurrent cell", ("rnn", "gru"))
     hidden: int = _setting(100, "hidden units")
     activation: str = _setting("tanh", "activation of the rnn cell", tuple(ACTIVATIONS))
-    method: str = _setting(TP, "training method", METHODS)
+    method: str = _setting(targetprop.LINEARIZED, "training method", METHODS)
     gamma: float = _setting(1e-3, "bp stepsize")
     gamma_h: float = _setting(1e-2, "tp target stepsize")
     gamma_theta: float = _setting(1e-1, "tp parameter stepsize")
@@ -317,7 +308,7 @@ def descent(params, cfg: ExperimentConfig):
     if cfg.method == BP:
         return bptt
     hyper = targetprop.TpHyper(gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
-                               variant=_VARIANT_OF[cfg.method])
+                               variant=cfg.method)
     return lambda *a: {k: -v for k, v in tp_backward(*a, hyper).items()}
 
 
@@ -327,9 +318,12 @@ def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> f
     for pixels the test split in n_batches slices of 250 or all of it for
     n_batches = 0, with ``rng`` unread (None will do). The forward passes
     keep no per-step states, so memory does not grow with the sequence
-    length. A negative n_batches raises ValueError."""
+    length. A negative n_batches, or a synthetic task with no ``rng``,
+    raises ValueError."""
     if n_batches < 0:
         raise ValueError(f"n_batches must be >= 0, got {n_batches}")
+    if rng is None and not task.has_test_split:
+        raise ValueError("a synthetic task draws its held-out batches from rng, got None")
     forward = cell_passes(params)[0]
     return task.held_out_accuracy(
         lambda inputs: forward(params, inputs, states=False).y_hat, n_batches, rng)

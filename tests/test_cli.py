@@ -289,6 +289,18 @@ def test_svg_writers_escape_text(tmp_path):
         assert want <= texts, (path.name, texts)
 
 
+def test_heatmap_leaves_a_diverged_cell_unfilled(tmp_path):
+    path = tmp_path / "heat.svg"
+    cells = [trainer.GridCell(0.1, 0.0, float("nan"), True), trainer.GridCell(0.1, 1.0, 2.0, False)]
+    write_heatmap_svg(str(path), cells)
+    rects = [rect for rect in ET.parse(path).iter("{http://www.w3.org/2000/svg}rect")
+             if rect.get("stroke")]  # the cells, not the background
+    # r = 0 is the left column; only the finished cell is shaded and titled
+    assert [(rect.get("x"), rect.get("fill")) for rect in rects] == [
+        ("88", "none"), ("172", "rgb(237,248,255)")]
+    assert [len(rect) for rect in rects] == [0, 1]
+
+
 def test_plot_header_only_csv(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("iter,loss,acc,wall_ms\n")
@@ -340,6 +352,14 @@ def test_grid_rejects_nonpositive_jobs(tmp_path, capsys):
                 "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
         assert main(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_grid_rejects_a_grid_with_no_numbers(tmp_path, capsys):
+    argv = ["grid", "--gamma-theta-grid", "0.1", "--r-grid", ",",
+            "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
+    assert main(argv) == EXIT_USAGE
+    assert "bad grid ','" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
 
 
@@ -405,10 +425,10 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
 
     monkeypatch.setattr(trainer, "cell_passes", recording)
     monkeypatch.setattr(trainer, "descent", descent)
-    rnn_round = ["bp", "linearized", "finite_difference", "exact_inverse"]
+    rnn_round = ["bp", "tp", "tp-dtp", "tp-exact"]
     for model, names, order, inv in (
-            ("rnn", ["bp", "tp", "tp-dtp", "tp-exact"], rnn_round, [0, 1, 1, 1]),
-            ("gru", ["gru-bp", "gru-tp"], ["bp", "linearized"], [0, 3])):
+            ("rnn", rnn_round, rnn_round, [0, 1, 1, 1]),
+            ("gru", ["gru-bp", "gru-tp"], ["bp", "tp"], [0, 3])):
         calls.clear()
         steps.clear()
         rows = bench_point((5, 7), 4, 2, reps=4, model=model)

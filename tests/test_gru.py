@@ -13,11 +13,11 @@ from tprop.gru import (
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import DimensionMismatch, factorization_count
 from tprop.rnn import _BLOCK, MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
-from tprop.targetprop import TpHyper
+from tprop.targetprop import EXACT_INVERSE, FINITE_DIFFERENCE, LINEARIZED, TpHyper
 
 
 def hyper(**kw):
-    base = dict(gamma_h=1e-2, gamma_theta=1e-1, r=1.0, epsilon=1e-3, variant="linearized")
+    base = dict(gamma_h=1e-2, gamma_theta=1e-1, r=1.0, epsilon=1e-3, variant=LINEARIZED)
     base.update(kw)
     return TpHyper(**base)
 
@@ -227,7 +227,8 @@ def test_bptt_cache_mismatch():
 
 
 @pytest.mark.parametrize("debug", [False, True])
-@pytest.mark.parametrize("variant", ["finite_difference", "exact_inverse"])
+@pytest.mark.parametrize("variant", [FINITE_DIFFERENCE, EXACT_INVERSE],
+                         ids=["finite_difference", "exact_inverse"])
 def test_tp_backward_rejects_rnn_only_variants(variant, debug):
     # the GRU has only the linearized rule; another variant must not quietly
     # return the linearized direction

@@ -26,6 +26,14 @@ from tprop.targetprop import (
 
 THETA_H = ("W_xh", "W_hh", "b_h")
 
+# Test ids name each rule by its identifier; other parameters keep pytest's ids.
+_RULE_IDS = {LINEARIZED: "linearized", FINITE_DIFFERENCE: "finite_difference",
+             EXACT_INVERSE: "exact_inverse"}
+
+
+def rule_id(value):
+    return _RULE_IDS.get(value) if isinstance(value, str) else None
+
 
 def hyper(**kw):
     base = dict(gamma_h=1e-2, gamma_theta=1e-1, r=1.0, epsilon=1e-3, variant=LINEARIZED)
@@ -152,7 +160,8 @@ def _per_step_reference(params, cache, lam, step):
     return d
 
 
-@pytest.mark.parametrize("rule", ["bp", "debug", LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE])
+@pytest.mark.parametrize("rule", ["bp", "debug", LINEARIZED, FINITE_DIFFERENCE, EXACT_INVERSE],
+                         ids=rule_id)
 def test_sweep_matches_per_step_reference(rng, rule):
     # the sweep stacks a block's errors and contracts them once the recursion
     # has left the block, so sums run in another order: equal up to float64
@@ -315,7 +324,7 @@ def test_exact_inverse_with_hoisted_projections_keeps_every_bit(d):
 
 @pytest.mark.parametrize("variant, bound", [
     ("bptt", 3.7), (LINEARIZED, 4.4), (FINITE_DIFFERENCE, 6.9), (EXACT_INVERSE, 4.9),
-    ("gru_bptt", 18.5), ("gru_tp_backward", 23.0)])
+    ("gru_bptt", 18.5), ("gru_tp_backward", 23.0)], ids=rule_id)
 def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
     # Counted in (_BLOCK, p, B) float64 blocks allocated above the params,
     # inputs and states; bptt peaks near 3.5 of them. The linearized rule

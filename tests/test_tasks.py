@@ -164,6 +164,25 @@ def test_load_idx_truncated(tmp_path, rng):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("lying", ["images", "labels"])
+def test_load_idx_checks_the_announced_payload_against_the_file_size(tmp_path, traced_peak, lying):
+    # a header announcing 2^31 - 1 records over a few payload bytes is refused
+    # before any read is sized by it: such a read would raise MemoryError (a
+    # 1.7 TB image payload) or allocate 2 GB (labels) before finding the file short
+    big = 2**31 - 1
+    ip = tmp_path / "images-idx3-ubyte"
+    lp = tmp_path / "labels-idx1-ubyte"
+    ip.write_bytes(struct.pack(">iiii", 0x803, big if lying == "images" else 1, 28, 28) + bytes(784))
+    lp.write_bytes(struct.pack(">ii", 0x801, big if lying == "labels" else 1) + bytes(1))
+    short = ip if lying == "images" else lp
+
+    def load():
+        with pytest.raises(TruncatedFile, match=short.name):
+            load_idx(str(ip), str(lp))
+
+    assert traced_peak(load) < 2**20
+
+
 def test_load_idx_count_mismatch(tmp_path, rng):
     images = rng.integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
     img, _ = idx_bytes(images, np.zeros(4, np.uint8))

@@ -107,6 +107,10 @@ def test_nesterov_constant_gradient_velocity_geometric(rng):
     npt.assert_allclose(theta["w"] - start, disp, atol=1e-15)
 
 
+def test_methods_are_bp_and_the_tp_rules():
+    assert trainer.METHODS[1:] == targetprop.VARIANTS
+
+
 def test_tp_head_update_matches_bp_head_update():
     # theta_y gets a plain gradient step under both methods, so one iteration
     # from identical state moves W_hy and b_y identically when gamma == gamma_theta
@@ -135,7 +139,7 @@ def test_one_tp_iteration_applies_direction_exactly():
         gamma_theta=cfg.gamma_theta,
         r=cfg.r,
         epsilon=cfg.epsilon,
-        variant="linearized",
+        variant=targetprop.LINEARIZED,
     )
     d = tp_direction(init, cache, batch.labels, hyper)
     res = train(cfg, params=copy.deepcopy(init))
@@ -313,6 +317,25 @@ def test_evaluate_rejects_a_negative_batch_count(tmp_path):
             evaluate(params, task, n, np.random.default_rng(0))
 
 
+def test_evaluate_needs_an_rng_for_a_synthetic_task_only(tmp_path):
+    cfg = small_config()
+    task = build_task(cfg)
+    with pytest.raises(ValueError, match="rng"):
+        evaluate(init_model(cfg, task, seed=0), task, 0, None)
+    # a pixel task scores its test split and reads no rng
+    write_idx_set(tmp_path, 40, 30, np.random.default_rng(1))
+    cfg = small_config(task="pixels", k=28, data_dir=str(tmp_path))
+    task = build_task(cfg)
+    params = init_model(cfg, task, seed=0)
+    assert evaluate(params, task, 0, None) == evaluate(params, task, 0, np.random.default_rng(0))
+
+
+def test_build_task_rejects_a_k_that_does_not_divide_the_image(tmp_path):
+    write_idx_set(tmp_path, 4, 2, np.random.default_rng(1))
+    with pytest.raises(ConfigError, match="k=5 does not divide 784 pixels"):
+        build_task(small_config(task="pixels", k=5, batch=2, data_dir=str(tmp_path)))
+
+
 def test_accuracy_recount_on_saved_batch():
     from tprop.tasks import classification_accuracy
 
@@ -373,6 +396,18 @@ def test_config_rejects_a_key_given_twice(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("r = 1.0\n# ridge\nT = 20\nr = 0.0\n")
     with pytest.raises(ParseError, match=r"twice.cfg:4: r already set on line 1"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("line, named", [
+    ("T 20", "expected key = value"),
+    ("T = twenty", "bad value for T: 'twenty'"),
+    ("permute = yes", "bad value for permute: 'yes'"),
+])
+def test_config_names_the_line_of_a_malformed_entry(tmp_path, line, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"task = temporal-order\n{line}\n")
+    with pytest.raises(ParseError, match=f"bad.cfg:2: {re.escape(named)}"):
         load_config(str(path))
 
 
@@ -441,6 +476,18 @@ def test_metrics_csv_names_the_line_of_a_malformed_divergence_marker(tmp_path, m
     path.write_text(f"{trainer.METRICS_HEADER}\n0,1.0,0.5,0.1\n# diverged_at={marker}\n")
     named = f"^{re.escape(str(path))}:3: diverged_at must be an iteration >= 0"
     with pytest.raises(ParseError, match=named):
+        MetricsLog.from_csv(str(path))
+
+
+@pytest.mark.parametrize("body, named", [
+    ("iter,loss\n0,1.0\n", ": unexpected header 'iter,loss'"),
+    (f"{trainer.METRICS_HEADER}\n0,1.0,0.5\n", ":2: wrong field count"),
+    (f"{trainer.METRICS_HEADER}\n0,1.0,0.5,0.1\n1,x,0.5,0.1\n", ":3: could not convert"),
+])
+def test_metrics_csv_names_the_line_of_a_malformed_row(tmp_path, body, named):
+    path = tmp_path / "metrics.csv"
+    path.write_text(body)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path) + named)}"):
         MetricsLog.from_csv(str(path))
 
 
