@@ -33,51 +33,30 @@ import numpy as np
 
 from . import linalg, rnn
 from .activations import ACTIVATIONS, sigmoid
-from .rnn import Direction, ForwardCache, SOFTMAX_CE, OUTPUT_KINDS
+from .rnn import Direction, ForwardCache, SOFTMAX_CE, OUTPUT_KINDS, _Params, _tensor
 from .targetprop import LINEARIZED, TpHyper
 
 
 @dataclass
-class GruParams:
-    W_im: np.ndarray  # (p, d)
-    W_hm: np.ndarray  # (p, p)
-    b_m: np.ndarray   # (p,)
-    W_iz: np.ndarray  # (p, d)
-    W_hz: np.ndarray  # (p, p)
-    b_z: np.ndarray   # (p,)
-    W_in: np.ndarray  # (p, d)
-    b_in: np.ndarray  # (p,)
-    W_hn: np.ndarray  # (p, p)
-    b_hn: np.ndarray  # (p,)
-    W_hy: np.ndarray  # (K, p)
-    b_y: np.ndarray   # (K,)
+class GruParams(_Params):
+    """Parameters of the cell in the module docstring, with the RNN's head."""
+
+    W_im: np.ndarray = _tensor("pd")
+    W_hm: np.ndarray = _tensor("pp")
+    b_m: np.ndarray = _tensor("p")
+    W_iz: np.ndarray = _tensor("pd")
+    W_hz: np.ndarray = _tensor("pp")
+    b_z: np.ndarray = _tensor("p")
+    W_in: np.ndarray = _tensor("pd")
+    b_in: np.ndarray = _tensor("p")
+    W_hn: np.ndarray = _tensor("pp")
+    b_hn: np.ndarray = _tensor("p")
+    W_hy: np.ndarray = _tensor("Kp")
+    b_y: np.ndarray = _tensor("K")
     output_kind: str = SOFTMAX_CE
 
-    @property
-    def p(self) -> int:
-        return self.W_hm.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.W_im.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.W_hy.shape[0]
-
-    def tensors(self) -> Direction:
-        return {
-            "W_im": self.W_im, "W_hm": self.W_hm, "b_m": self.b_m,
-            "W_iz": self.W_iz, "W_hz": self.W_hz, "b_z": self.b_z,
-            "W_in": self.W_in, "b_in": self.b_in,
-            "W_hn": self.W_hn, "b_hn": self.b_hn,
-            "W_hy": self.W_hy, "b_y": self.b_y,
-        }
-
-
-RECURRENT_TENSORS = (
-    "W_im", "W_hm", "b_m", "W_iz", "W_hz", "b_z", "W_in", "b_in", "W_hn", "b_hn",
-)
+RECURRENT_TENSORS = tuple(k for k, _ in GruParams.shapes() if k not in ("W_hy", "b_y"))
 
 
 def init_gru_params(
@@ -86,22 +65,7 @@ def init_gru_params(
     """Orthogonal weights, zero biases."""
     if output_kind not in OUTPUT_KINDS:
         raise ValueError(f"unknown output kind {output_kind!r}")
-    rng = np.random.default_rng(seed)
-    return GruParams(
-        W_im=linalg.orthogonal(rng, p, d),
-        W_hm=linalg.orthogonal(rng, p, p),
-        b_m=np.zeros(p),
-        W_iz=linalg.orthogonal(rng, p, d),
-        W_hz=linalg.orthogonal(rng, p, p),
-        b_z=np.zeros(p),
-        W_in=linalg.orthogonal(rng, p, d),
-        b_in=np.zeros(p),
-        W_hn=linalg.orthogonal(rng, p, p),
-        b_hn=np.zeros(p),
-        W_hy=linalg.orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        output_kind=output_kind,
-    )
+    return GruParams._init(p, d, n_out, seed, output_kind=output_kind)
 
 
 class _Block(NamedTuple):

@@ -8,7 +8,8 @@ returned by :func:`bptt` are gradients of that batch-mean loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,39 +32,57 @@ class CacheMismatch(ValueError):
     """Forward cache was produced by differently shaped parameters."""
 
 
-@dataclass
-class RnnParams:
-    """Parameters of h_t = a(W_xh x_t + W_hh h_{t-1} + b_h), y = s(W_hy h_tau + b_y)."""
+def _tensor(shape: str):
+    """A parameter tensor field; its shape names one size per axis, p
+    (hidden), d (input) or K (output): "pd" is a (p, d) matrix."""
+    return field(metadata={"shape": shape})
 
-    W_xh: np.ndarray  # (p, d)
-    W_hh: np.ndarray  # (p, p)
-    b_h: np.ndarray   # (p,)
-    W_hy: np.ndarray  # (K, p)
-    b_y: np.ndarray   # (K,)
-    activation: Activation
-    output_kind: str = SOFTMAX_CE
 
-    @property
-    def p(self) -> int:
-        return self.W_hh.shape[0]
+class _Params:
+    """The parameter record of either cell: its ``_tensor`` fields, in the
+    order :meth:`tensors` returns them, then its settings. Each size is
+    read off the first tensor that has it."""
 
-    @property
-    def d(self) -> int:
-        return self.W_xh.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.W_hy.shape[0]
+    @classmethod
+    @functools.cache
+    def shapes(cls) -> tuple[tuple[str, str], ...]:
+        """Each tensor's name and declared shape, in field order."""
+        return tuple((f.name, f.metadata["shape"]) for f in fields(cls) if "shape" in f.metadata)
 
     def tensors(self) -> Direction:
         """Live references to the parameter tensors, keyed by name."""
-        return {
-            "W_xh": self.W_xh,
-            "W_hh": self.W_hh,
-            "b_h": self.b_h,
-            "W_hy": self.W_hy,
-            "b_y": self.b_y,
-        }
+        return {k: getattr(self, k) for k, _ in self.shapes()}
+
+    def _size(self, axis: str) -> int:
+        """The size of the first tensor axis declared as ``axis``."""
+        for k, shape in self.shapes():
+            if axis in shape:
+                return getattr(self, k).shape[shape.index(axis)]
+
+    p = property(lambda self: self._size("p"))
+    d = property(lambda self: self._size("d"))
+    n_out = property(lambda self: self._size("K"))
+
+    @classmethod
+    def _init(cls, p: int, d: int, n_out: int, seed: int, **settings):
+        """Orthogonal matrices drawn from default_rng(seed) in field order,
+        zero biases."""
+        rng, size = np.random.default_rng(seed), {"p": p, "d": d, "K": n_out}
+        return cls(**{k: orthogonal(rng, *(size[a] for a in s)) if len(s) == 2
+                      else np.zeros(size[s[0]]) for k, s in cls.shapes()}, **settings)
+
+
+@dataclass
+class RnnParams(_Params):
+    """Parameters of h_t = a(W_xh x_t + W_hh h_{t-1} + b_h), y = s(W_hy h_tau + b_y)."""
+
+    W_xh: np.ndarray = _tensor("pd")
+    W_hh: np.ndarray = _tensor("pp")
+    b_h: np.ndarray = _tensor("p")
+    W_hy: np.ndarray = _tensor("Kp")
+    b_y: np.ndarray = _tensor("K")
+    activation: Activation
+    output_kind: str = SOFTMAX_CE
 
 
 @dataclass
@@ -104,16 +123,7 @@ def init_params(
         activation = get_activation(activation)
     if output_kind not in OUTPUT_KINDS:
         raise ValueError(f"unknown output kind {output_kind!r}")
-    rng = np.random.default_rng(seed)
-    return RnnParams(
-        W_xh=orthogonal(rng, p, d),
-        W_hh=orthogonal(rng, p, p),
-        b_h=np.zeros(p),
-        W_hy=orthogonal(rng, n_out, p),
-        b_y=np.zeros(n_out),
-        activation=activation,
-        output_kind=output_kind,
-    )
+    return RnnParams._init(p, d, n_out, seed, activation=activation, output_kind=output_kind)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -322,12 +332,9 @@ def _backward(params, cache, y, blocks, propagate, gamma_h: float | None = None)
     one is formed, so a pass holds the states plus block-sized buffers.
     """
     dz = output_delta(y, cache)
-    signal = params.W_hy.T @ dz
+    lam = params.W_hy.T @ dz
     if gamma_h is not None:
-        signal = -gamma_h * signal
-    # signal stays bound for the pass: freed after the first step, it left a
-    # heap layout that read ~0.2 MB more peak RSS in the T=60 grid benchmark
-    lam = signal
+        lam = -gamma_h * lam
     d = {k: np.zeros_like(v) for k, v in params.tensors().items() if k not in ("W_hy", "b_y")}
     block = blocks(params, cache)
     edges = _edges(cache.tau)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rnn import MSE, SOFTMAX_CE
+from .rnn import MSE, SOFTMAX_CE, LabelMismatch
 
 TEMPORAL_ORDER = "temporal-order"
 ADDING = "adding"
@@ -259,8 +259,13 @@ class PixelTask:
 
     @functools.cached_property
     def test(self) -> ImageDataset:
-        """The t10k split, read on first use: a run that never evaluates never holds it."""
-        return load_idx(*self._test_paths)
+        """The t10k split, read on first use: a run that never evaluates never
+        holds it. A label past the training split's classes raises LabelMismatch."""
+        test = load_idx(*self._test_paths)
+        if test.labels.max(initial=0) >= self.n_out:
+            raise LabelMismatch(f"{self._test_paths[1]}: label {test.labels.max()} outside "
+                                f"the training split's {self.n_out} classes")
+        return test
 
     def sample(self, rng) -> Batch:
         if self._cursor + self.batch > self._order.size:

@@ -16,6 +16,22 @@ from tprop.rnn import _BLOCK, MSE, SOFTMAX_CE, CacheMismatch, loss, output_delta
 from tprop.targetprop import EXACT_INVERSE, FINITE_DIFFERENCE, LINEARIZED, TpHyper
 
 
+def test_parameter_records_keep_their_tensor_order():
+    # tensors() follows the declared field order, which fixes the init's
+    # draws from the seed; each tensor has its declared shape
+    rnn_names = ["W_xh", "W_hh", "b_h", "W_hy", "b_y"]
+    gru_names = ["W_im", "W_hm", "b_m", "W_iz", "W_hz", "b_z", "W_in", "b_in",
+                 "W_hn", "b_hn", "W_hy", "b_y"]
+    size = {"p": 5, "d": 3, "K": 2}
+    for params, names in ((rnn.init_params(5, 3, 2), rnn_names),
+                          (init_gru_params(5, 3, 2), gru_names)):
+        assert list(params.tensors()) == names
+        assert (params.p, params.d, params.n_out) == (5, 3, 2)
+        for k, shape in params.shapes():
+            assert params.tensors()[k].shape == tuple(size[a] for a in shape), k
+    assert RECURRENT_TENSORS == tuple(gru_names[:-2])
+
+
 def hyper(**kw):
     base = dict(gamma_h=1e-2, gamma_theta=1e-1, r=1.0, epsilon=1e-3, variant=LINEARIZED)
     base.update(kw)

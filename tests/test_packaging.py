@@ -11,16 +11,22 @@ import tprop
 
 def test_import_loads_no_scipy(env_with_src):
     # nor process-pool machinery: grid_search(jobs > 1) forks its workers
-    # with os.fork, so a two-process grid loads no multiprocessing either
-    code = ("import sys, tprop\n"
+    # with os.fork, so a two-process grid loads no multiprocessing either.
+    # The import a training job makes loads neither the CLI nor the
+    # diagnostics, which every process without a bytecode cache would
+    # compile from source.
+    grid = ("import tprop\n"
             "cfg = tprop.ExperimentConfig(T=10, hidden=4, batch=2, eval_every=0)\n"
             "cells = tprop.grid_search(cfg, [0.05, 0.1], [1.0], horizon=2, jobs=2)\n"
-            "assert len(cells) == 2\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in"
-            " ('scipy', 'multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env_with_src, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+            "assert len(cells) == 2\n")
+    cases = [(grid, ("scipy.", "multiprocessing.", "concurrent.")),
+             ("from tprop import tasks, trainer\n", ("tprop.cli.", "tprop.diagnostics."))]
+    for code, unwanted in cases:  # a module or any submodule of it
+        code = ("import sys\n" + code + "print(sorted(m for m in sys.modules"
+                f" if (m + '.').startswith({unwanted})))")
+        out = subprocess.run([sys.executable, "-c", code], env=env_with_src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", (code, out.stdout)
 
 
 def test_python_dash_m_runs_the_cli(env_with_src):
