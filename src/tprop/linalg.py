@@ -5,19 +5,24 @@ bookkeeping, the state in this module is a monotone counter of Cholesky
 factorizations, used by tests and by the benchmark command to verify that
 backward passes amortize their matrix inversions (one per recurrent matrix
 per backward call, however long the sequence); ``ridge_pinv`` solves a
-matrix or a stack of them at once.
+matrix or a stack of them at once. The init's own Cholesky passes are not
+counted.
 
-Every LAPACK and BLAS call made here runs on one OpenBLAS thread, and the
-caller's thread count is restored on return. The cap trades speed for
-predictability. With a second thread whose worker started on the main
-thread's CPU, a 100 x 100 QR took 144 ms and a solve 104 ms instead of
-0.34 ms and 0.27 ms, and the threaded LU touched about 0.5 MB more memory;
-the bits no longer depend on ``OPENBLAS_NUM_THREADS``. When both threads
-run well, two are faster for larger systems: a p = 512 ``ridge_pinv``
-takes ~25 ms capped against ~23 ms threaded, and order-20 tp training at
-p = 100 ran 1.70 ms per iteration capped against 1.62 ms (the toggle
-itself costs ~3 us a call). ``orthogonal`` is faster capped at every size
-measured up to 512 (2-core x86-64, numpy 2.4 with OpenBLAS 0.3.31).
+The LAPACK calls made here are Cholesky factorizations and LU solves, by
+``ridge_pinv`` and ``orthogonal``, and the SVD behind ``spectral_norm``,
+which only the diagnostics call; no run factors by QR. Every LAPACK and
+BLAS call made here runs on one OpenBLAS thread, and the caller's thread
+count is restored on return. The cap trades speed for predictability.
+With a second thread whose worker started on the main thread's CPU, a
+100 x 100 QR took 144 ms and a solve 104 ms instead of 0.34 ms and
+0.27 ms, and the threaded LU touched about 0.5 MB more memory; the bits no
+longer depend on ``OPENBLAS_NUM_THREADS``. When both threads run well, two
+are faster for larger systems: a p = 512 ``ridge_pinv`` takes ~25 ms
+capped against ~23 ms threaded, ``orthogonal`` 1.6, 16 and 103 ms capped
+against 1.4, 13 and 80 ms threaded at p = 100, 256 and 512, and order-20
+tp training at p = 100 ran 1.70 ms per iteration capped against 1.62 ms
+(the toggle itself costs ~3 us a call; 2-core x86-64, numpy 2.4 with
+OpenBLAS 0.3.31).
 
 The thread count is process-wide. While a call here runs, numpy calls in
 other Python threads also run on one OpenBLAS thread, and a count another
@@ -144,20 +149,26 @@ def ridge_pinv(W: np.ndarray, r: float) -> np.ndarray:
 
 @_one_blas_thread()
 def orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Random (semi-)orthogonal matrix drawn via QR of a Gaussian.
+    """Random (semi-)orthogonal matrix: the Q factor of a Gaussian draw.
 
-    The sign of R's diagonal is folded into Q so the distribution does not
-    depend on the QR implementation's sign convention. Square outputs are
-    orthogonal; rectangular ones have orthonormal rows or columns, whichever
-    fits.
+    Q is the factor whose R has a positive diagonal, which makes the
+    distribution Haar (Mezzadri 2007). It comes from shifted CholeskyQR3
+    (Fukaya et al., SIAM J. Sci. Comput. 2020): each pass factors the Gram
+    matrix q^T q = L L^T and replaces q by q L^{-T}. The first pass adds a
+    shift s I that keeps the factorization defined up to a condition number
+    near 1e15; without it CholeskyQR2 fails from ~1e9. Square outputs are
+    orthogonal; rectangular ones have orthonormal rows or columns,
+    whichever fits.
     """
     wide = cols > rows
-    a = rng.standard_normal((cols, rows) if wide else (rows, cols))
-    q, rdiag = np.linalg.qr(a)
-    s = np.sign(np.diag(rdiag))
-    s[s == 0] = 1.0
-    q = q * s
-    # keep parameter tensors C-contiguous whatever LAPACK hands back
+    q = rng.standard_normal((cols, rows) if wide else (rows, cols))
+    m, n = q.shape
+    # s = 11 (m n + n (n + 1)) u ||q||_F^2, with u the unit roundoff
+    shift = 11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps / 2 * np.vdot(q, q)
+    for s in (shift, 0.0, 0.0):
+        L = np.linalg.cholesky(q.T @ q + s * np.eye(n))
+        q = np.linalg.solve(L, q.T).T
+    # keep parameter tensors C-contiguous whatever the transposes hand back
     return np.ascontiguousarray(q.T if wide else q)
 
 

@@ -157,23 +157,30 @@ def _read_header(f, path, fmt: str) -> tuple[int, ...]:
     return magic, *sizes
 
 
-def load_idx(images_path, labels_path) -> ImageDataset:
+def load_labels(path) -> np.ndarray:
+    """The class ids in an IDX labels file, as int64."""
+    with open(path, "rb") as f:
+        magic, n = _read_header(f, path, ">ii")
+        if magic != LABELS_MAGIC:
+            raise BadMagic(f"{path}: magic {magic:#010x}, expected {LABELS_MAGIC:#010x}")
+        raw = _read_exact(f, n, path)
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+
+
+def load_idx(images_path, labels) -> ImageDataset:
     """Read an IDX image/label pair; the images are a read-only uint8 view
-    of the file's pixel bytes, with no float copy."""
+    of the file's pixel bytes, with no float copy. ``labels`` is the labels
+    file, or the ids :func:`load_labels` already read from it."""
     with open(images_path, "rb") as f:
         magic, n, h, w = _read_header(f, images_path, ">iiii")
         if magic != IMAGES_MAGIC:
             raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
         raw = _read_exact(f, n * h * w, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
-    with open(labels_path, "rb") as f:
-        magic, n_labels = _read_header(f, labels_path, ">ii")
-        if magic != LABELS_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {LABELS_MAGIC:#010x}")
-        raw = _read_exact(f, n_labels, labels_path)
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if n != n_labels:
-        raise CountMismatch(f"{n} images but {n_labels} labels")
+    if not isinstance(labels, np.ndarray):
+        labels = load_labels(labels)
+    if n != labels.size:
+        raise CountMismatch(f"{n} images but {labels.size} labels")
     return ImageDataset(images=images, labels=labels)
 
 
@@ -256,16 +263,17 @@ class PixelTask:
         self.n_out = int(train.labels.max()) + 1
         self.output_kind = SOFTMAX_CE
         self._order, self._cursor = np.arange(0), 0  # no epoch drawn yet
+        # checked at build, before a run spends iterations on a split it cannot score
+        self._test_labels = load_labels(self._test_paths[1])
+        if self._test_labels.max(initial=0) >= self.n_out:
+            raise LabelMismatch(f"{self._test_paths[1]}: label {self._test_labels.max()} "
+                                f"outside the training split's {self.n_out} classes")
 
     @functools.cached_property
     def test(self) -> ImageDataset:
-        """The t10k split, read on first use: a run that never evaluates never
-        holds it. A label past the training split's classes raises LabelMismatch."""
-        test = load_idx(*self._test_paths)
-        if test.labels.max(initial=0) >= self.n_out:
-            raise LabelMismatch(f"{self._test_paths[1]}: label {test.labels.max()} outside "
-                                f"the training split's {self.n_out} classes")
-        return test
+        """The t10k split; its images are read on first use, so a run that
+        never evaluates never holds them."""
+        return load_idx(self._test_paths[0], self._test_labels)
 
     def sample(self, rng) -> Batch:
         if self._cursor + self.batch > self._order.size:

@@ -246,7 +246,8 @@ def build_task(cfg: ExperimentConfig):
     """The task ``cfg`` trains on; the one place a config meets its data.
     Pixels need ``data_dir`` (or $TPROP_DATA_DIR) holding the four IDX
     files, a batch no larger than the training split and a k dividing the
-    image, else ConfigError; the test split is read on first evaluation."""
+    image, else ConfigError. The test split's labels are checked here (see
+    PixelTask), its images read on first evaluation."""
     if cfg.task != "pixels":
         return tasks.SyntheticTask(cfg.task, cfg.T, cfg.batch)
     root = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")

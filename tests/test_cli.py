@@ -125,14 +125,14 @@ def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys, monkeyp
     for name in ("cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for flags, at_iter in (
-            ("--task temporal-order --T 14 --hidden 8 --batch 4 --seed 3 --gamma-theta 0.1", 2),
+            ("--task temporal-order --T 14 --hidden 8 --batch 4 --seed 363 --gamma-theta 0.1", 3),
             ("--task adding --T 14 --hidden 9 --batch 3 --activation sigmoid "
-             "--gamma-theta 1.0 --seed 668", 12),
+             "--gamma-theta 1.0 --seed 62", 26),
             # the GRU's stacked solve of its three recurrent matrices
             ("--task temporal-order --T 15 --hidden 5 --batch 4 --model gru "
-             "--gamma-theta 1.0 --seed 535", 3),
+             "--gamma-theta 1.0 --seed 277", 2),
             ("--task adding --T 17 --hidden 6 --batch 2 --method tp-dtp --activation tanh "
-             "--gamma-theta 1.0 --seed 790", 10)):
+             "--gamma-theta 1.0 --seed 122", 10)):
         failed.clear()
         out = tmp_path / str(at_iter)
         argv = ["train", *flags.split(), "--r", "0", "--iters", "30", "--eval-every", "0",

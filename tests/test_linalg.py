@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tprop import linalg
+from tprop import diagnostics, linalg, trainer
 from tprop.linalg import (
     DimensionMismatch,
     SingularSystem,
@@ -124,6 +124,63 @@ def test_ridge_pinv_on_a_stack_is_one_call_per_matrix(p):
         ridge_pinv(np.ones(p), 1.0)
 
 
+def qr_orthogonal(rng, rows, cols):
+    """The reference draw: Householder QR of the same Gaussian, with the sign
+    of R's diagonal folded into Q."""
+    wide = cols > rows
+    q, r = np.linalg.qr(rng.standard_normal((cols, rows) if wide else (rows, cols)))
+    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    return q.T if wide else q
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (100, 6), (4, 100), (1, 1), (1, 6), (100, 1),
+                                   (256, 256)])
+def test_orthogonal_is_the_sign_fixed_qr_of_the_same_draw(shape):
+    for seed in range(10):
+        Q = orthogonal(np.random.default_rng(seed), *shape)
+        assert Q.shape == shape and Q.flags.c_contiguous
+        npt.assert_allclose(Q, qr_orthogonal(np.random.default_rng(seed), *shape),
+                            rtol=0, atol=1e-13, err_msg=f"seed {seed}")
+
+
+class _FixedDraw:
+    """An rng stand-in whose standard_normal hands back one given matrix."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def standard_normal(self, shape):
+        assert shape == self.a.shape
+        return self.a.copy()
+
+
+@pytest.mark.parametrize("rows, cols", [(100, 100), (100, 6), (6, 100)])
+def test_orthogonal_stays_orthonormal_on_an_ill_conditioned_draw(rows, cols):
+    # plain CholeskyQR2 loses the Cholesky factorization from a condition
+    # number near 1e9; the first pass's shift keeps it up to ~1e15
+    gen = np.random.default_rng(0)
+    m, n = max(rows, cols), min(rows, cols)
+    U = np.linalg.qr(gen.standard_normal((m, n)))[0]
+    V = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    a = U @ np.diag(np.logspace(0, -12, n)) @ V.T
+    assert np.linalg.cond(a) > 0.99e12
+    Q = orthogonal(_FixedDraw(a), rows, cols)
+    gram = Q.T @ Q if rows >= cols else Q @ Q.T
+    npt.assert_allclose(gram, np.eye(n), rtol=0, atol=1e-14)
+
+
+def test_runs_and_checks_never_factor_by_qr(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for model in ("rnn", "gru"):
+        cfg = trainer.ExperimentConfig(T=12, model=model, hidden=8, batch=4, iters=2,
+                                       eval_every=0)
+        assert len(trainer.train(cfg).log.losses) == 2
+    diagnostics._tanh_instance(0)
+
+
 def test_orthogonal_init_p1_is_sign():
     for seed in range(10):
         Q = orthogonal_init(1, seed)
@@ -231,8 +288,8 @@ def test_every_linalg_call_runs_on_one_blas_thread_and_restores_the_count(
         blas_threads, monkeypatch):
     seen = []
     for name in ("qr", "cholesky", "solve", "norm"):
-        def spy(*args, _f=getattr(np.linalg, name), **kwargs):
-            seen.append(blas_threads())
+        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, blas_threads()))
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
     W = orthogonal_init(6, 0)
@@ -241,7 +298,9 @@ def test_every_linalg_call_runs_on_one_blas_thread_and_restores_the_count(
     ridge_pinv(np.stack([W, W]), 1.0)
     spectral_norm(W)
     assert blas_threads() == 2
-    assert seen == [1] * 6  # qr; cholesky and solve, twice; norm
+    assert "qr" not in {name for name, _ in seen}
+    # cholesky and solve, three times for the init and once for each ridge_pinv; norm
+    assert [count for _, count in seen] == [1] * 11
     with pytest.raises(SingularSystem):
         ridge_pinv(np.zeros((3, 3)), 0.0)
     assert blas_threads() == 2
@@ -317,8 +376,9 @@ for call in (lambda: orthogonal(rng, 100, 100), lambda: ridge_pinv(W, 1.0)):
                     reason="needs per-thread CPU affinity")
 def test_p100_calls_do_not_stall_with_every_thread_on_one_cpu(env_with_src):
     # A second OpenBLAS thread sharing the main thread's CPU made a 100 x 100
-    # QR take ~144 ms and a ridge solve ~104 ms; on one thread both take ~0.5 ms.
+    # ridge solve take ~104 ms (and a QR ~144 ms); on one thread a solve
+    # takes ~0.5 ms, and the init's three Cholesky passes and solves ~2 ms.
     out = _child(_STALL, {**env_with_src, "OPENBLAS_NUM_THREADS": "2"})
-    qr_ms, ridge_ms = map(float, out.split())
-    assert qr_ms < 20, qr_ms
+    init_ms, ridge_ms = map(float, out.split())
+    assert init_ms < 20, init_ms
     assert ridge_ms < 20, ridge_ms

@@ -20,6 +20,7 @@ from tprop.tasks import (
     gen_temporal_order,
     image_batch,
     load_idx,
+    load_labels,
 )
 
 SPECIAL = (4, 5)  # one-hot rows for the two marker symbols
@@ -144,10 +145,10 @@ def test_load_idx_round_trip(tmp_path, rng):
     images = rng.integers(0, 256, size=(10, 28, 28)).astype(np.uint8)
     labels = rng.integers(0, 10, size=10).astype(np.uint8)
     ip, lp = write_idx(tmp_path, images, labels)
-    ds = load_idx(ip, lp)
-    assert ds.images.shape == (10, 28, 28) and ds.images.dtype == np.uint8
-    assert ds.images.tobytes() == images.tobytes()
-    assert np.array_equal(ds.labels, labels)
+    for ds in (load_idx(ip, lp), load_idx(ip, load_labels(lp))):
+        assert ds.images.shape == (10, 28, 28) and ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == images.tobytes()
+        assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
 
 
 def test_load_idx_bad_magic(tmp_path, rng):
@@ -193,6 +194,8 @@ def test_load_idx_count_mismatch(tmp_path, rng):
     lp.write_bytes(lab)
     with pytest.raises(CountMismatch):
         load_idx(str(ip), str(lp))
+    with pytest.raises(CountMismatch):
+        load_idx(str(ip), load_labels(str(lp)))
 
 
 @pytest.mark.parametrize("field", ["n", "h", "w", "labels"])

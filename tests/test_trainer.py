@@ -650,20 +650,17 @@ def test_pixel_test_split_is_read_on_first_evaluation(tmp_path, monkeypatch):
 
 def test_pixel_test_labels_past_the_training_classes_raise(tmp_path):
     # Trained on classes 0-4, the head has 5 outputs and cannot score a
-    # test split labelled 0-9: reading that split raises, naming its labels
-    # file, and a run that never evaluates still never reads it.
+    # test split labelled 0-9: building the task raises, naming the labels
+    # file, before a run spends any iteration, whether or not it evaluates.
     write_idx_set(tmp_path, 40, 20, np.random.default_rng(2))
     for prefix, n, classes in (("train", 40, 5), ("t10k", 20, 10)):
         (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(
             struct.pack(">ii", 0x801, n) + (np.arange(n) % classes).astype(np.uint8).tobytes())
     cfg = small_config(task="pixels", k=28, data_dir=str(tmp_path), method="bp", iters=2)
-    result = train(cfg)
-    task = build_task(cfg)
-    assert task.n_out == 5 and result.params.n_out == 5
-    with pytest.raises(rnn.LabelMismatch, match="t10k-labels-idx1-ubyte"):
-        evaluate(result.params, task, 0, None)
-    with pytest.raises(rnn.LabelMismatch, match="t10k-labels-idx1-ubyte"):
-        train(dataclasses.replace(cfg, eval_every=1))
+    for run in (lambda: build_task(cfg), lambda: train(cfg),
+                lambda: train(dataclasses.replace(cfg, eval_every=1))):
+        with pytest.raises(rnn.LabelMismatch, match="t10k-labels-idx1-ubyte"):
+            run()
 
 
 def pixel_task(directory, n, batch):
