@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, rnn
 from .activations import ACTIVATIONS, sigmoid
-from .rnn import Direction, ForwardCache, SOFTMAX_CE, OUTPUT_KINDS, _Params, _tensor
+from .rnn import Direction, ForwardCache, SOFTMAX_CE, _Params, _tensor
 from .targetprop import LINEARIZED, TpHyper
 
 
@@ -63,9 +63,7 @@ def init_gru_params(
     p: int, d: int, n_out: int, output_kind: str = SOFTMAX_CE, seed: int = 0
 ) -> GruParams:
     """Orthogonal weights, zero biases."""
-    if output_kind not in OUTPUT_KINDS:
-        raise ValueError(f"unknown output kind {output_kind!r}")
-    return GruParams._init(p, d, n_out, seed, output_kind=output_kind)
+    return GruParams._init(p, d, n_out, seed, output_kind)
 
 
 class _Block(NamedTuple):
@@ -116,11 +114,7 @@ def gru_forward(params: GruParams, x_seq: np.ndarray, *, states: bool = True,
         h = _roll(params, x_seq[edges[j - 1]:edges[j]], h)
         if states:
             hs[j] = h
-    logits, y_hat = rnn._head(params, h)
-    return ForwardCache(
-        xs=x_seq, hs=hs,
-        logits=logits, y_hat=y_hat, output_kind=params.output_kind,
-    )
+    return rnn._cache(params, x_seq, hs, h)
 
 
 def _blocks(params: GruParams, cache: ForwardCache):

@@ -64,12 +64,15 @@ class _Params:
     n_out = property(lambda self: self._size("K"))
 
     @classmethod
-    def _init(cls, p: int, d: int, n_out: int, seed: int, **settings):
+    def _init(cls, p: int, d: int, n_out: int, seed: int, output_kind: str, **settings):
         """Orthogonal matrices drawn from default_rng(seed) in field order,
-        zero biases."""
+        zero biases; an output kind outside OUTPUT_KINDS raises ValueError."""
+        if output_kind not in OUTPUT_KINDS:
+            raise ValueError(f"unknown output kind {output_kind!r}")
         rng, size = np.random.default_rng(seed), {"p": p, "d": d, "K": n_out}
         return cls(**{k: orthogonal(rng, *(size[a] for a in s)) if len(s) == 2
-                      else np.zeros(size[s[0]]) for k, s in cls.shapes()}, **settings)
+                      else np.zeros(size[s[0]]) for k, s in cls.shapes()},
+                   output_kind=output_kind, **settings)
 
 
 @dataclass
@@ -121,9 +124,7 @@ def init_params(
     """Random orthogonal weight matrices, zero biases."""
     if isinstance(activation, str):
         activation = get_activation(activation)
-    if output_kind not in OUTPUT_KINDS:
-        raise ValueError(f"unknown output kind {output_kind!r}")
-    return RnnParams._init(p, d, n_out, seed, activation=activation, output_kind=output_kind)
+    return RnnParams._init(p, d, n_out, seed, output_kind, activation=activation)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -144,10 +145,9 @@ def _check_inputs(params, x_seq) -> np.ndarray:
     return x_seq
 
 
-# Time steps per block: a rollout that keeps states projects a block's inputs
-# in one stacked product (the GRU stores its states at the block edges), and
-# the backward pass keeps block-sized buffers and contracts each block in one
-# GEMM over _BLOCK * B columns.
+# Time steps per block: the backward pass walks the time axis in blocks,
+# keeps block-sized buffers and contracts each block in one GEMM over
+# _BLOCK * B columns; the GRU stores its states at the block edges.
 _BLOCK = 8
 
 
@@ -159,8 +159,8 @@ def _edges(tau: int) -> list[int]:
 
 
 def _project(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The input projection W x of one step's inputs x (d, B) or a block's
-    (C, d, B), into ``out`` when given. At d = 1 (pixel sequences) it is
+    """The input projection W x of one step's inputs x (d, B) or a stack of
+    them (n, d, B), into ``out`` when given. At d = 1 (pixel sequences) it is
     the broadcast product W * x: the same bits as the K = 1 GEMM, which
     BLAS runs slowly."""
     return (np.multiply if W.shape[1] == 1 else np.matmul)(W, x, out=out)
@@ -183,10 +183,14 @@ def _state_stack(out: np.ndarray | None, shape: tuple[int, ...], states: bool):
     return out
 
 
-def _head(params, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits W_hy h + b_y and the prediction: softmax, or the logits for mse."""
+def _cache(params, x_seq: np.ndarray, hs: np.ndarray | None, h: np.ndarray) -> ForwardCache:
+    """The forward cache of a rollout of either cell over x_seq that kept the
+    states hs and ended in h = h_tau: the head's logits W_hy h + b_y and its
+    prediction, softmax or the logits for mse."""
     logits = params.W_hy @ h + params.b_y[:, None]
-    return logits, (softmax(logits) if params.output_kind == SOFTMAX_CE else logits)
+    y_hat = softmax(logits) if params.output_kind == SOFTMAX_CE else logits
+    return ForwardCache(xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,
+                        output_kind=params.output_kind)
 
 
 def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True,
@@ -195,11 +199,9 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True,
 
     With ``states`` False only the running state is kept, so memory is
     O(p B) in tau; the logits and y_hat are the same bits either way, but
-    the cache cannot feed a backward pass. The rollout projects the inputs
-    W_xh x_t of each block of ``_edges(tau)`` in one stacked product into
-    the state slots they precede, added in the per-step order
-    (W_xh x_t + W_hh h) + b_h; without states the blocks are single steps,
-    so neither holds a block of projections of its own. ``out``, a
+    the cache cannot feed a backward pass. With states, every W_xh x_t is
+    formed in one stacked product into the slot h_t then overwrites, and
+    each step adds in the order (W_xh x_t + W_hh h) + b_h. ``out``, a
     float64 (tau + 1, p, B) array, receives the states in place of a new
     stack (a training loop passes the previous batch's) and becomes
     ``cache.hs``.
@@ -207,21 +209,16 @@ def forward(params: RnnParams, x_seq: np.ndarray, *, states: bool = True,
     x_seq = _check_inputs(params, x_seq)
     tau, _, B = x_seq.shape
     hs = _state_stack(out, (tau + 1, params.p, B), states)
-    act = params.activation
-    b_h = params.b_h[:, None]
-    edges = _edges(tau) if states else range(tau + 1)
+    if states:
+        _project(params.W_xh, x_seq, out=hs[1:])
+    act, b_h = params.activation, params.b_h[:, None]
     h = np.zeros((params.p, B))
-    for lo, hi in zip(edges, edges[1:]):
-        xw = _project(params.W_xh, x_seq[lo:hi], out=hs[lo + 1:hi + 1] if states else None)
-        for i in range(hi - lo):
-            h = act.apply(xw[i] + params.W_hh @ h + b_h)
-            if states:
-                hs[lo + 1 + i] = h
-    logits, y_hat = _head(params, h)
-    return ForwardCache(
-        xs=x_seq, hs=hs, logits=logits, y_hat=y_hat,
-        output_kind=params.output_kind,
-    )
+    for t in range(tau):
+        xw = hs[t + 1] if states else _project(params.W_xh, x_seq[t])
+        h = act.apply(xw + params.W_hh @ h + b_h)
+        if states:
+            hs[t + 1] = h
+    return _cache(params, x_seq, hs, h)
 
 
 def _check_labels(y, cache: ForwardCache):

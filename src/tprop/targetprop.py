@@ -27,8 +27,8 @@ rule forms what it needs for a block of steps at once, in one block buffer.
 - finite difference: one a^{-1}(proj(h_t + lam)) less the block's
   a^{-1}(proj(h_t)). W_xh x_t + b_h cancels between the two inverses, so
   it is never formed.
-- exact inverse: one a^{-1}(proj(h_t + lam)) less W_xh x_t + b_h, whose
-  products the block forms at once, as the rollout does.
+- exact inverse: one a^{-1}(proj(h_t + lam)) less W_xh x_t + b_h, with the
+  block's W_xh x_t formed at once in one stacked product.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ GRU_METHODS = (BP, targetprop.LINEARIZED)  # the GRU has the linearized TP rule 
 TASKS = (tasks.TEMPORAL_ORDER, tasks.ADDING, "pixels")
 
 DATA_DIR_ENV = "TPROP_DATA_DIR"
+ACC_WINDOW = 100  # iterations in the running accuracy that stop_at_acc compares
 
 
 class ConfigError(ValueError):
@@ -80,7 +81,8 @@ class ExperimentConfig:
     batch: int = _setting(20, "sequences per batch")
     iters: int = _setting(10000, "training iterations")
     eval_every: int = _setting(1000, "held-out eval cadence for the pixels task; 0 never")
-    stop_at_acc: float = _setting(0.0, "stop once running accuracy reaches this; 0 never")
+    stop_at_acc: float = _setting(0.0, f"stop once the mean accuracy of the last {ACC_WINDOW} "
+                                   "iterations reaches this; 0 never")
     seed: int = _setting(0, "seed of the init and data streams")
 
     def validate(self) -> None:
@@ -179,7 +181,7 @@ class MetricsLog:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
-    def running_accuracy(self, window: int = 100) -> float:
+    def running_accuracy(self, window: int = ACC_WINDOW) -> float:
         if not self.accs:
             return 0.0
         return float(np.mean(self.accs[-window:]))
@@ -380,7 +382,8 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
             if eval_every and (it + 1) % eval_every == 0:
                 log.eval_iters.append(it)
                 log.eval_accs.append(evaluate(params, task, 0, None))
-            if cfg.stop_at_acc > 0 and log.running_accuracy() >= cfg.stop_at_acc:
+            if (cfg.stop_at_acc > 0 and len(log.accs) >= ACC_WINDOW
+                    and log.running_accuracy() >= cfg.stop_at_acc):
                 break
     return TrainResult(log=log, params=params)
 

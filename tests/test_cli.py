@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import diagnostics, trainer
+from tprop import diagnostics, linalg, trainer
 from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _add_config_flags, _config_from_args,
                        bench_point, build_parser, main, write_heatmap_svg)
 
@@ -109,9 +109,14 @@ def test_train_divergence_exit_code(tmp_path, capsys):
 
 
 def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys, monkeypatch):
-    # At iteration at_iter the r = 0 system passes its Cholesky check but the
-    # solve meets a zero pivot: a divergence, not an error.
-    failed = {}
+    # A ridge system that passes its Cholesky check but whose solve meets a
+    # zero pivot is a divergence, not an error. The first three runs make
+    # the solve inside the k-th ridge_pinv call of the run raise (the
+    # init's own solves are not counted), so they diverge at iteration
+    # k - 1 whatever the arithmetic; the last meets a real zero pivot in
+    # its r = 0 system.
+    failed, armed = {}, [False]
+    solve, ridge_pinv = np.linalg.solve, linalg.ridge_pinv
 
     def counted(name, fn):
         def call(*args):
@@ -122,24 +127,41 @@ def test_train_zero_pivot_after_cholesky_is_divergence(tmp_path, capsys, monkeyp
                 raise
         return call
 
-    for name in ("cholesky", "solve"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    for flags, at_iter in (
-            ("--task temporal-order --T 14 --hidden 8 --batch 4 --seed 363 --gamma-theta 0.1", 3),
-            ("--task adding --T 14 --hidden 9 --batch 3 --activation sigmoid "
-             "--gamma-theta 1.0 --seed 62", 26),
+    def failing_solve(*args):
+        if armed[0]:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    def failing_call(k):
+        calls = 0
+
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            armed[0] = calls == k
+            try:
+                return ridge_pinv(*args)
+            finally:
+                armed[0] = False
+        return call
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", failing_solve))
+    for task, method, flags, k, at_iter in (
+            ("temporal-order", "tp", "--T 14 --hidden 8 --batch 4", 3, 2),
+            ("adding", "tp-dtp", "--T 17 --hidden 6 --batch 2", 5, 4),
             # the GRU's stacked solve of its three recurrent matrices
-            ("--task temporal-order --T 15 --hidden 5 --batch 4 --model gru "
-             "--gamma-theta 1.0 --seed 277", 2),
-            ("--task adding --T 17 --hidden 6 --batch 2 --method tp-dtp --activation tanh "
-             "--gamma-theta 1.0 --seed 122", 10)):
+            ("temporal-order", "tp", "--T 15 --hidden 5 --batch 4 --model gru", 2, 1),
+            ("temporal-order", "tp", "--T 14 --hidden 8 --batch 4 --seed 363 --gamma-theta 0.1 "
+             "--r 0", None, 3)):
         failed.clear()
-        out = tmp_path / str(at_iter)
-        argv = ["train", *flags.split(), "--r", "0", "--iters", "30", "--eval-every", "0",
-                "--out", str(out)]
-        assert main(argv) == EXIT_DIVERGED, flags
-        printed = capsys.readouterr().out
-        assert printed.startswith("diverged ") and f" at_iter={at_iter} " in printed, printed
+        monkeypatch.setattr(linalg, "ridge_pinv", failing_call(k))
+        out = tmp_path / f"{method}-{at_iter}"
+        argv = ["train", "--task", task, "--method", method, *flags.split(),
+                "--iters", "30", "--eval-every", "0", "--out", str(out)]
+        assert main(argv) == EXIT_DIVERGED == 2, flags
+        assert capsys.readouterr().out == (
+            f"diverged task={task} method={method} at_iter={at_iter} out={out}\n"), flags
         assert trainer.MetricsLog.from_csv(str(out / "metrics.csv")).diverged_at == at_iter
         assert failed == {"solve": 1}, flags
 

@@ -96,3 +96,29 @@ def test_every_module_uses_what_it_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_every_private_module_name_is_referenced():
+    # A module-level private name (_x, not a dunder) defined in src/tprop
+    # must be read somewhere in src/tprop, so a cut leaves no dead helper.
+    defined, read = [], set()
+    for path in sorted(Path(tprop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((name, f"{path.name}:{node.lineno}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{where} {name}" for name, where in defined if name not in read]
+    assert not dead, dead

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -69,13 +71,19 @@ def test_forward_shapes_at_experiment_scale(rng):
 
 
 def test_forward_cache_states_match_preactivations(rng):
-    params = init_params(6, 2, 3, seed=5)
-    xs = rng.standard_normal((4, 2, 2))
-    cache = forward(params, xs)
-    npt.assert_allclose(cache.hs[0], 0.0, atol=0)
-    for t in range(4):
-        u = params.W_xh @ xs[t] + params.W_hh @ cache.hs[t] + params.b_h[:, None]
-        npt.assert_allclose(cache.hs[t + 1], np.tanh(u), atol=1e-15)
+    # Every h_t carries the bits of the plain per-step formula: on both sides
+    # of the backward pass's block edges (C = 8) and at pixel length.
+    for name, d, tau in itertools.product(sorted(ACTIVATIONS), (1, 3), (1, 7, 8, 9, 23, 784)):
+        act = ACTIVATIONS[name]
+        params = init_params(6, d, 3, name, seed=5)
+        params.b_h[:] = rng.standard_normal(6) * 0.1
+        xs = rng.standard_normal((tau, d, 2))
+        cache = forward(params, xs)
+        npt.assert_allclose(cache.hs[0], 0.0, atol=0)
+        h = np.zeros((6, 2))
+        for t in range(tau):
+            h = act.apply(params.W_xh @ xs[t] + params.W_hh @ h + params.b_h[:, None])
+            assert cache.hs[t + 1].tobytes() == h.tobytes(), (name, d, tau, t)
 
 
 def test_forward_dimension_mismatch():

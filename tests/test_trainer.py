@@ -503,9 +503,11 @@ def test_running_accuracy_window():
 
 
 def test_stop_at_acc_halts_early():
+    # the running accuracy is compared only once a full window is logged,
+    # so a lucky first batch does not end the run
     cfg = small_config(T=10, hidden=20, iters=4000, stop_at_acc=0.5, seed=1)
     res = train(cfg)
-    assert len(res.log.losses) < 4000
+    assert 100 <= len(res.log.losses) < 4000
     assert res.log.running_accuracy() >= 0.5
 
 
