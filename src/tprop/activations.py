@@ -21,24 +21,12 @@ def sigmoid(u):
 
 
 class Activation:
-    """Base class; subclasses define the actual maps.
-
-    ``projected_range(eps)`` returns the closed interval that
-    :meth:`project` clips into; ``inverse`` and ``inv_deriv`` read their
-    input through that clip.
-    """
+    """A subclass defines ``apply``, ``deriv`` (a'(u), given the output
+    h = a(u)), ``projected_range(eps)`` (the closed interval :meth:`project`
+    clips into) and ``_inverse`` on that interval; ``inverse`` and
+    ``inv_deriv`` read their input through the clip."""
 
     name: str = "base"
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def deriv(self, h: np.ndarray) -> np.ndarray:
-        """a'(u), given the output h = a(u) rather than u itself."""
-        raise NotImplementedError
-
-    def projected_range(self, eps: float) -> tuple[float, float]:
-        raise NotImplementedError
 
     def project(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
         lo, hi = self.projected_range(eps)
@@ -58,9 +46,6 @@ class Activation:
         for bit for tanh and identity and within an ulp for sigmoid, whose
         ends eps and 1 - eps round apart."""
         return self.deriv(np.array(self.projected_range(eps))).min()
-
-    def _inverse(self, v):
-        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -118,11 +103,8 @@ class Identity(Activation):
     def projected_range(self, eps):
         return (-np.inf, np.inf)
 
-    def project(self, v, eps: float = 1e-3):
-        return np.asarray(v, dtype=np.float64)
-
     def _inverse(self, v):
-        return np.asarray(v, dtype=np.float64).copy()
+        return v
 
 
 ACTIVATIONS: dict[str, Activation] = {

@@ -270,11 +270,11 @@ def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int
     """Median per-iteration wall time of the forward and the step ``train``
     takes (:func:`trainer.descent` at the default settings) for every
     method of one model at each tau of ``taus`` and one p, plus inversions
-    per call: bp, tp, tp-dtp and tp-exact for the RNN, gru-bp and gru-tp for
-    the GRU. Every round times each method in that order at each tau in
-    turn, so a slow spell of the host lands on all of them; 3 warm-up rounds
-    go untimed. Each tau's batch is drawn from its own default_rng(seed).
-    Rows come back tau-major."""
+    per call: trainer.METHODS for the RNN, trainer.GRU_METHODS prefixed
+    ``gru-`` for the GRU. Every round times each method in that order at
+    each tau in turn, so a slow spell of the host lands on all of them; 3
+    warm-up rounds go untimed. Each tau's batch is drawn from its own
+    default_rng(seed). Rows come back tau-major."""
     batches = []
     for tau in taus:
         rng = np.random.default_rng(seed)
@@ -284,7 +284,7 @@ def bench_point(taus: list[int] | tuple[int, ...], p: int, batch: int, reps: int
     params = trainer.init_model(cfg, _BENCH_TASK, seed)
     forward = trainer.cell_passes(params)[0]
     prefix = "" if model == "rnn" else f"{model}-"
-    steps = {prefix + method: trainer.descent(params, dataclasses.replace(cfg, method=method))
+    steps = {prefix + method: trainer.descent(params, dataclasses.replace(cfg, method=method))[0]
              for method in (trainer.METHODS if model == "rnn" else trainer.GRU_METHODS)}
     points = [(i, method) for i in range(len(batches)) for method in steps]
     times = {point: [] for point in points}

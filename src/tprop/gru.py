@@ -36,6 +36,8 @@ from .activations import ACTIVATIONS, sigmoid
 from .rnn import Direction, ForwardCache, SOFTMAX_CE, _Params, _tensor
 from .targetprop import LINEARIZED, TpHyper
 
+VARIANTS = (LINEARIZED,)  # the TP rules the GRU has: its gate inverses are linearized only
+
 
 @dataclass
 class GruParams(_Params):
@@ -215,7 +217,7 @@ def gru_tp_backward(
     """Displacement backward pass through the three gate inverses.
 
     The state recursion uses the linearized inverses of the gate maps, the
-    only rule the GRU has: any other ``hyper.variant`` raises ValueError.
+    one rule in VARIANTS: any other ``hyper.variant`` raises ValueError.
     Parameter directions chain the displacement through the true parameter
     Jacobians, and the output head gets its negated plain gradient. One
     stacked ridge solve per call, three counted factorizations.
@@ -224,8 +226,8 @@ def gru_tp_backward(
     pieces instead, which makes the recurrent-tensor result equal
     -gamma_h times :func:`gru_bptt`.
     """
-    if hyper.variant != LINEARIZED:
-        raise ValueError(f"the GRU has only the {LINEARIZED!r} TP rule, not {hyper.variant!r}")
+    if hyper.variant not in VARIANTS:
+        raise ValueError(f"the GRU has the TP rules {VARIANTS} only, not {hyper.variant!r}")
     rnn._check_cache(params, cache, len(rnn._edges(cache.tau)))
     Vs = linalg.ridge_pinv(np.stack((params.W_hn, params.W_hz, params.W_hm)), hyper.r)
     if debug_true_jacobian:

@@ -230,6 +230,8 @@ class SyntheticTask:
     has_test_split = False
 
     def __init__(self, name: str, T: int, batch: int):
+        if name not in (TEMPORAL_ORDER, ADDING):
+            raise ValueError(f"unknown task {name!r}, expected {TEMPORAL_ORDER!r} or {ADDING!r}")
         self.name, self.T, self.batch = name, T, batch
         self.d, self.n_out, self.output_kind = (
             (N_SYMBOLS, 4, SOFTMAX_CE) if name == TEMPORAL_ORDER else (2, 1, MSE))

@@ -23,7 +23,7 @@ from .linalg import SingularSystem
 
 BP = "bp"
 METHODS = (BP, *targetprop.VARIANTS)
-GRU_METHODS = (BP, targetprop.LINEARIZED)  # the GRU has the linearized TP rule only
+GRU_METHODS = (BP, *gru_mod.VARIANTS)
 
 TASKS = (tasks.TEMPORAL_ORDER, tasks.ADDING, "pixels")
 
@@ -91,7 +91,7 @@ class ExperimentConfig:
             if fld.metadata["choices"] and value not in fld.metadata["choices"]:
                 raise ConfigError(f"unknown {fld.name} {value!r}")
         if self.model == "gru" and self.method not in GRU_METHODS:
-            raise ConfigError("gru supports methods bp and tp only")
+            raise ConfigError(f"gru supports methods {', '.join(GRU_METHODS)} only")
         if self.hidden < 1 or self.batch < 1 or self.iters < 1:
             raise ConfigError("hidden, batch and iters must be positive")
         if self.seed < 0 or self.perm_seed < 0 or self.eval_every < 0:
@@ -303,16 +303,18 @@ def cell_passes(params):
 
 
 def descent(params, cfg: ExperimentConfig):
-    """The step ``train`` subtracts under cfg's method, as a function of
-    (params, cache, y): the BPTT gradient, or the negated TP direction of
-    the method's rule with cfg's gamma_h, r and epsilon. The passes are
-    read through :func:`cell_passes` when this is called."""
+    """``train``'s update under cfg's method as (step, stepsize, momentum):
+    the BPTT gradient with gamma and momentum, or the negated TP direction
+    of the method's rule (gamma_h, r, epsilon) with gamma_theta and none.
+    ``step(params, cache, y)`` reads its passes through :func:`cell_passes`
+    when this is called."""
     _, bptt, tp_backward = cell_passes(params)
     if cfg.method == BP:
-        return bptt
+        return bptt, cfg.gamma, cfg.momentum
     hyper = targetprop.TpHyper(gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
                                variant=cfg.method)
-    return lambda *a: {k: -v for k, v in tp_backward(*a, hyper).items()}
+    return (lambda *a: {k: -v for k, v in tp_backward(*a, hyper).items()},
+            cfg.gamma_theta, 0.0)
 
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> float:
@@ -344,13 +346,10 @@ def train(cfg: ExperimentConfig, params=None) -> TrainResult:
     if params is None:
         params = init_model(cfg, task, int(s_init.generate_state(1)[0]))
     rng_data = np.random.default_rng(s_data)
-    forward, step = cell_passes(params)[0], descent(params, cfg)
+    forward = cell_passes(params)[0]
+    step, stepsize, momentum = descent(params, cfg)
     theta = params.tensors()
     velocity = {k: np.zeros_like(v) for k, v in theta.items()}
-    if cfg.method == BP:
-        stepsize, momentum = cfg.gamma, cfg.momentum
-    else:
-        stepsize, momentum = cfg.gamma_theta, 0.0
     eval_every = cfg.eval_every if task.has_test_split else 0
     log = MetricsLog()
     hs = None  # the state stack every rollout of the run writes into

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -49,3 +50,14 @@ def env_with_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def write_idx_pair(images_path, labels_path, images, labels):
+    """Write (N, H, W) images and (N,) labels as an IDX pair: a big-endian
+    header (magic 0x803 or 0x801, then the sizes) before the uint8 payload.
+    Test modules import it from here."""
+    n, h, w = images.shape
+    Path(images_path).write_bytes(struct.pack(">iiii", 0x803, n, h, w)
+                                  + np.asarray(images, np.uint8).tobytes())
+    Path(labels_path).write_bytes(struct.pack(">ii", 0x801, len(labels))
+                                  + np.asarray(labels, np.uint8).tobytes())

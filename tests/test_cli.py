@@ -2,13 +2,13 @@ import argparse
 import dataclasses
 import re
 import shlex
-import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import write_idx_pair
 
 from tprop import diagnostics, linalg, trainer
 from tprop.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, _add_config_flags, _config_from_args,
@@ -25,8 +25,7 @@ def write_tiny_idx(root, n=8, h=4, w=4, n_classes=4, seed=0):
     ):
         imgs = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
         labels = (np.arange(n) % n_classes).astype(np.uint8)
-        (root / img_name).write_bytes(struct.pack(">iiii", 0x803, n, h, w) + imgs.tobytes())
-        (root / lab_name).write_bytes(struct.pack(">ii", 0x801, n) + labels.tobytes())
+        write_idx_pair(root / img_name, root / lab_name, imgs, labels)
 
 
 def test_unknown_command_exits_with_usage_code():
@@ -442,8 +441,8 @@ def test_bench_point_alternates_the_methods_in_every_round(monkeypatch):
     def descent(params, cfg):
         # bench times the step train takes, built at the default settings
         assert cfg == trainer.ExperimentConfig(model=cfg.model, hidden=4, method=cfg.method)
-        step = real_descent(params, cfg)
-        return lambda *args: steps.append(cfg.method) or step(*args)
+        step, *update = real_descent(params, cfg)
+        return (lambda *args: steps.append(cfg.method) or step(*args)), *update
 
     monkeypatch.setattr(trainer, "cell_passes", recording)
     monkeypatch.setattr(trainer, "descent", descent)
@@ -536,3 +535,33 @@ def test_check_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "vibes"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_plot_of_a_one_row_log_centres_its_point(tmp_path):
+    # one iteration: both axes span their one value plus and minus 0.5
+    csv_path, svg_path = tmp_path / "one.csv", tmp_path / "one.svg"
+    csv_path.write_text("iter,loss,acc,wall_ms\n3,0.7,0.5,0.1\n")
+    assert main(["plot", "--in", str(csv_path), "--out", str(svg_path)]) == EXIT_OK
+    root = ET.parse(svg_path).getroot()
+    [line] = root.iter("{http://www.w3.org/2000/svg}polyline")
+    assert line.get("points") == "342.00,202.00"  # the middle of the plot area
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert {"2.5", "3.5", "0.2", "1.2"} <= set(texts)
+
+
+def test_heatmap_of_an_incomplete_grid_draws_only_its_cells(tmp_path):
+    path = tmp_path / "heat.svg"
+    cells = [trainer.GridCell(0.1, 1.0, 2.0, False), trainer.GridCell(1.0, 10.0, 3.0, False)]
+    write_heatmap_svg(str(path), cells)
+    rects = [rect for rect in ET.parse(path).iter("{http://www.w3.org/2000/svg}rect")
+             if rect.get("stroke")]  # the cells, not the background
+    # gamma_theta 1 is the top row, r = 10 the right column
+    assert [(rect.get("x"), rect.get("y")) for rect in rects] == [("172", "40"), ("88", "86")]
+
+
+def test_grid_refuses_a_grid_that_is_not_numbers(tmp_path, capsys):
+    argv = ["grid", "--gamma-theta-grid", "0.1", "--r-grid", "abc",
+            "--out-csv", str(tmp_path / "g.csv"), "--out-svg", str(tmp_path / "g.svg")]
+    assert main(argv) == EXIT_USAGE
+    assert "bad grid 'abc'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

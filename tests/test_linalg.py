@@ -382,3 +382,18 @@ def test_p100_calls_do_not_stall_with_every_thread_on_one_cpu(env_with_src):
     init_ms, ridge_ms = map(float, out.split())
     assert init_ms < 20, init_ms
     assert ridge_ms < 20, ridge_ms
+
+
+def test_ridge_pinv_refuses_a_non_finite_solve(monkeypatch):
+    # ridge_pinv's last check: a solve that hands back inf is a singular system
+    W = np.eye(3) + 0.1
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: np.full(np.shape(B), np.inf))
+    before = factorization_count()
+    with pytest.raises(SingularSystem, match="non-finite entries"):
+        ridge_pinv(W, 1.0)
+    assert factorization_count() == before + 1
+
+
+def test_spectral_norm_of_an_empty_matrix_is_zero():
+    for shape in ((0, 3), (3, 0), (0,)):
+        assert spectral_norm(np.zeros(shape)) == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -379,3 +380,34 @@ def test_forward_deterministic_in_params_and_inputs(seed, activation, output_kin
     assert lean.hs is None
     assert lean.logits.tobytes() == a.logits.tobytes()
     assert lean.y_hat.tobytes() == a.y_hat.tobytes()
+
+
+def test_both_cells_reject_an_unknown_output_kind():
+    for init in (lambda: init_params(3, 2, 2, output_kind="hinge"),
+                 lambda: gru.init_gru_params(3, 2, 2, output_kind="hinge")):
+        with pytest.raises(ValueError, match="unknown output kind 'hinge'"):
+            init()
+
+
+def test_mse_targets_as_a_column_are_refused():
+    # (B, 1) targets would broadcast against the (1, B) predictions into a
+    # (B, B) error and give a finite, wrong loss
+    params = init_params(3, 2, 1, output_kind=MSE)
+    cache = forward(params, np.ones((4, 2, 5)))
+    for fn in (loss, output_delta):
+        with pytest.raises(LabelMismatch, match=r"need \(1, 5\) regression targets"):
+            fn(np.zeros((5, 1)), cache)
+
+
+def test_backward_refuses_a_cache_from_another_output_head():
+    params = init_params(3, 2, 3)
+    cache = forward(params, np.ones((4, 2, 5)))
+    y = np.zeros(5, dtype=np.int64)
+    smaller = dataclasses.replace(params, W_hy=params.W_hy[:2], b_y=params.b_y[:2])
+    regression = dataclasses.replace(params, output_kind=MSE)
+    hy = targetprop.TpHyper()
+    for changed, match in ((smaller, "output head size changed"),
+                           (regression, "output kind changed")):
+        for backward in (bptt, lambda *a: targetprop.tp_direction(*a, hy)):
+            with pytest.raises(CacheMismatch, match=match):
+                backward(changed, cache, y)

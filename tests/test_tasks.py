@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import write_idx_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from tprop.tasks import (
     CountMismatch,
     ImageDataset,
     IndivisibleChunk,
+    SyntheticTask,
     TruncatedFile,
     adding_accuracy,
     classification_accuracy,
@@ -121,23 +123,15 @@ def test_classification_accuracy_matches_recount(rng):
     npt.assert_allclose(classification_accuracy(logits, y), want, atol=0)
 
 
-def idx_bytes(images, labels):
-    n, h, w = images.shape
-    img = struct.pack(">iiii", 0x803, n, h, w) + images.astype(np.uint8).tobytes()
-    lab = struct.pack(">ii", 0x801, len(labels)) + np.asarray(labels, np.uint8).tobytes()
-    return img, lab
-
-
 def write_idx(tmp_path, images, labels, mangle=None):
-    img, lab = idx_bytes(images, labels)
-    if mangle == "magic":
-        img = struct.pack(">i", 0x802) + img[4:]
-    elif mangle == "truncate":
-        img = img[:-10]
     ip = tmp_path / "images-idx3-ubyte"
     lp = tmp_path / "labels-idx1-ubyte"
-    ip.write_bytes(img)
-    lp.write_bytes(lab)
+    write_idx_pair(ip, lp, images, labels)
+    img = ip.read_bytes()
+    if mangle == "magic":
+        ip.write_bytes(struct.pack(">i", 0x802) + img[4:])
+    elif mangle == "truncate":
+        ip.write_bytes(img[:-10])
     return str(ip), str(lp)
 
 
@@ -186,16 +180,11 @@ def test_load_idx_checks_the_announced_payload_against_the_file_size(tmp_path, t
 
 def test_load_idx_count_mismatch(tmp_path, rng):
     images = rng.integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
-    img, _ = idx_bytes(images, np.zeros(4, np.uint8))
-    lab = struct.pack(">ii", 0x801, 3) + bytes(3)
-    ip = tmp_path / "images-idx3-ubyte"
-    lp = tmp_path / "labels-idx1-ubyte"
-    ip.write_bytes(img)
-    lp.write_bytes(lab)
+    ip, lp = write_idx(tmp_path, images, np.zeros(3, np.uint8))
     with pytest.raises(CountMismatch):
-        load_idx(str(ip), str(lp))
+        load_idx(ip, lp)
     with pytest.raises(CountMismatch):
-        load_idx(str(ip), load_labels(str(lp)))
+        load_idx(ip, load_labels(lp))
 
 
 @pytest.mark.parametrize("field", ["n", "h", "w", "labels"])
@@ -313,3 +302,25 @@ def test_temporal_order_positions_property(T, seed):
         t1, t2 = np.flatnonzero(special[:, b]) + 1
         assert T // 10 <= t1 <= 2 * T // 10
         assert 4 * T // 10 <= t2 <= 5 * T // 10
+
+
+@pytest.mark.parametrize("gen", [gen_temporal_order, gen_adding])
+def test_generators_refuse_sequences_shorter_than_10(gen):
+    # at T = 9 the first marker window [T//10, 2T//10] starts at step 0
+    with pytest.raises(ValueError, match="need T >= 10, got 9"):
+        gen(9, 2, np.random.default_rng(0))
+
+
+def test_load_labels_refuses_an_images_file(tmp_path, rng):
+    # swapped paths: the images file's magic is 0x803, not the labels' 0x801
+    images = rng.integers(0, 256, size=(3, 4, 4)).astype(np.uint8)
+    ip, _ = write_idx(tmp_path, images, np.zeros(3, np.uint8))
+    with pytest.raises(BadMagic, match="magic 0x00000803, expected 0x00000801"):
+        load_labels(ip)
+
+
+def test_synthetic_task_refuses_an_unknown_name():
+    # a misspelt name must not fall through to the adding task
+    with pytest.raises(ValueError, match="unknown task 'temporal_order', "
+                                         "expected 'temporal-order' or 'adding'"):
+        SyntheticTask("temporal_order", 20, 4)

@@ -8,10 +8,12 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import write_idx_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprop import gru, rnn, targetprop, tasks, trainer
+from tprop.cli import bench_point
 from tprop.targetprop import TpHyper, tp_direction
 from tprop.tasks import gen_temporal_order
 from tprop.trainer import (
@@ -109,6 +111,21 @@ def test_nesterov_constant_gradient_velocity_geometric(rng):
 
 def test_methods_are_bp_and_the_tp_rules():
     assert trainer.METHODS[1:] == targetprop.VARIANTS
+    # the GRU's rules are stated once, in gru.VARIANTS, and every check reads them
+    assert trainer.GRU_METHODS == (trainer.BP, *gru.VARIANTS)
+    params = gru.init_gru_params(4, 2, 3, seed=0)
+    cache = gru.gru_forward(params, np.zeros((5, 2, 3)))
+    for v in targetprop.VARIANTS:
+        cfg = ExperimentConfig(model="gru", method=v)
+        if v in gru.VARIANTS:
+            cfg.validate()
+            continue
+        with pytest.raises(ConfigError, match=re.escape(", ".join(trainer.GRU_METHODS))):
+            cfg.validate()
+        with pytest.raises(ValueError, match=re.escape(str(gru.VARIANTS))):
+            gru.gru_tp_backward(params, cache, np.zeros(3, np.int64), TpHyper(variant=v))
+    rows = bench_point((5,), 4, 2, reps=1, model="gru")
+    assert [method for _, _, method, _, _ in rows] == ["gru-bp", "gru-tp"]
 
 
 def test_tp_head_update_matches_bp_head_update():
@@ -609,10 +626,8 @@ def write_idx_set(directory, n_train, n_test, rng) -> int:
     for prefix, n in (("train", n_train), ("t10k", n_test)):
         images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
         labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(
-            struct.pack(">iiii", 0x803, n, 28, 28) + images.tobytes())
-        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(
-            struct.pack(">ii", 0x801, n) + labels.tobytes())
+        write_idx_pair(directory / f"{prefix}-images-idx3-ubyte",
+                       directory / f"{prefix}-labels-idx1-ubyte", images, labels)
         total += images.nbytes
     return total
 
@@ -719,3 +734,15 @@ def test_pixel_task_mid_epoch_copies_and_pickles_with_its_stream(tmp_path):
             got = twin.sample(twin_rng)
             assert got.inputs.tobytes() == b.inputs.tobytes()
             assert got.labels.tobytes() == b.labels.tobytes()
+
+
+def test_running_accuracy_of_an_empty_log_is_zero():
+    assert MetricsLog().running_accuracy() == 0.0
+
+
+def test_from_csv_skips_blank_lines_and_notes(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("iter,loss,acc,wall_ms\n0,1.5,0.25,0.1\n\n# note\n1,0.5,0.75,0.2\n")
+    log = MetricsLog.from_csv(str(path))
+    assert (log.iters, log.losses, log.accs) == ([0, 1], [1.5, 0.5], [0.25, 0.75])
+    assert not log.diverged
