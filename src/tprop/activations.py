@@ -5,12 +5,15 @@ rollout that keeps its states needs no pre-activations. Each activation
 also owns the projection of a target into (a slightly shrunken copy of) its
 image: ``inverse`` and ``inv_deriv`` evaluate a^{-1} and its derivative at
 ``project(v, eps)``, so they accept any input and callers never clip. The
-shrink margin eps keeps both finite near saturation.
+shrink margin eps, CLIP_MARGIN unless a caller sets it, keeps both finite
+near saturation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+CLIP_MARGIN = 1e-3
 
 
 def sigmoid(u):
@@ -28,14 +31,14 @@ class Activation:
 
     name: str = "base"
 
-    def project(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
+    def project(self, v: np.ndarray, eps: float = CLIP_MARGIN) -> np.ndarray:
         lo, hi = self.projected_range(eps)
         return np.clip(v, lo, hi)
 
-    def inverse(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
+    def inverse(self, v: np.ndarray, eps: float = CLIP_MARGIN) -> np.ndarray:
         return self._inverse(self.project(v, eps))
 
-    def inv_deriv(self, v: np.ndarray, eps: float = 1e-3) -> np.ndarray:
+    def inv_deriv(self, v: np.ndarray, eps: float = CLIP_MARGIN) -> np.ndarray:
         """(a^{-1})'(proj(v)) = 1 / a'(u) at a(u) = proj(v), by the inverse
         function theorem; ``deriv`` takes the output, so it reads proj(v)."""
         return 1.0 / self.deriv(self.project(v, eps))

@@ -67,28 +67,31 @@ def _write_svg(path, W: int, H: int, title: str, title_y: int, body: list[str]) 
     ]) + "\n")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
-        return [lo]
-    return list(np.linspace(lo, hi, n))
+def _span(values) -> tuple[float, float]:
+    """The extrema of ``values``, or [0, 1] when there are none. Equal
+    extrema are widened by a margin that survives rounding at their
+    magnitude, so the span is never empty."""
+    if not values:
+        return 0.0, 1.0
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        margin = max(0.5, abs(lo) * 1e-9)
+        lo, hi = lo - margin, hi + margin
+    return lo, hi
 
 
 def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
     """Overlaid polylines with axes, ticks and a legend.
 
-    ``series`` is a list of (label, xs, ys). Axis ranges are the exact data
-    extrema; with no data at all the axes span [0, 1]. Text is XML-escaped.
+    ``series`` is a list of (label, xs, ys). Axis ranges are the data
+    extrema as :func:`_span` gives them. Text is XML-escaped.
     """
     W, H = 640, 420
     ml, mr, mt, mb = 64, 20, 28, 44
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if np.isfinite(y)]
-    x0, x1 = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    y0, y1 = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
-    if x0 == x1:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y0 == y1:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    x0, x1 = _span(xs_all)
+    y0, y1 = _span(ys_all)
 
     def px(x):
         return ml + (x - x0) / (x1 - x0) * (W - ml - mr)
@@ -100,12 +103,12 @@ def write_line_svg(path, series, xlabel="iter", ylabel="loss", title=""):
         f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" stroke="black"/>',
     ]
-    for t in _ticks(x0, x1):
+    for t in np.linspace(x0, x1, 5):
         out.append(f'<line x1="{px(t):.1f}" y1="{H - mb}" x2="{px(t):.1f}" '
                    f'y2="{H - mb + 4}" stroke="black"/>')
         out.append(f'<text x="{px(t):.1f}" y="{H - mb + 16}" '
                    f'text-anchor="middle">{t:.4g}</text>')
-    for t in _ticks(y0, y1):
+    for t in np.linspace(y0, y1, 5):
         out.append(f'<line x1="{ml - 4}" y1="{py(t):.1f}" x2="{ml}" '
                    f'y2="{py(t):.1f}" stroke="black"/>')
         out.append(f'<text x="{ml - 6}" y="{py(t) + 3:.1f}" '

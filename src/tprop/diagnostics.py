@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gru as gru_mod
 from . import linalg, rnn, targetprop
-from .activations import get_activation
+from .activations import CLIP_MARGIN, get_activation
 from .linalg import spectral_norm
 from .targetprop import TpHyper
 
@@ -65,13 +65,15 @@ class SuiteCheck:
     bound: float
 
 
-def finite_diff_check(loss_fn, tensors: dict, grads: dict, step: float = 1e-5) -> FdReport:
-    """Central-difference check of an analytic gradient at every coordinate.
+def finite_diff_check(loss_fn, tensors: dict, grads: dict) -> FdReport:
+    """Central-difference check, at step 1e-5, of an analytic gradient at
+    every coordinate.
 
     ``loss_fn`` takes no arguments and evaluates the loss at the current
     contents of ``tensors``; coordinates are wiggled in place and restored.
     Relative error per coordinate is |fd - g| / max(|fd|, |g|, 1e-6).
     """
+    step = 1e-5
     coords = [(name, i) for name, arr in tensors.items() for i in range(arr.size)]
     max_rel, worst = 0.0, ("", -1)
     for name, i in coords:
@@ -93,18 +95,16 @@ def finite_diff_check(loss_fn, tensors: dict, grads: dict, step: float = 1e-5) -
     return FdReport(max_rel_err=max_rel, checked=len(coords), worst=worst)
 
 
-def _operator_pair(params, V, h, eps):
+def _operator_pair(params, V, h):
     """The two operators the backward recursions apply at the attained
     state h (p,) of one sample: the transposed layer Jacobian
     W_hh^T diag(a'(u)) of backprop, and the linearized inverse V diag(S),
-    S = da^{-1}(proj(h))."""
+    S = da^{-1}(proj(h)) at the clip margin CLIP_MARGIN."""
     act = params.activation
-    return params.W_hh.T * act.deriv(h)[None, :], V * act.inv_deriv(h, eps)[None, :]
+    return params.W_hh.T * act.deriv(h)[None, :], V * act.inv_deriv(h)[None, :]
 
 
-def direction_gap(
-    params: rnn.RnnParams, cache: rnn.ForwardCache, y, r: float, eps: float = 1e-3
-) -> GapReport:
+def direction_gap(params: rnn.RnnParams, cache: rnn.ForwardCache, y, r: float) -> GapReport:
     """Gap between the backprop gradient and the displacement direction for
     the recurrent tensors, against the accumulated-propagator bound.
 
@@ -116,7 +116,7 @@ def direction_gap(
     differences are spectral (Euclidean for the bias), the max is reported.
     """
     grads = rnn.bptt(params, cache, y)
-    hyper = TpHyper(gamma_h=1.0, r=r, epsilon=eps)
+    hyper = TpHyper(gamma_h=1.0, r=r)
     d = targetprop.tp_direction(params, cache, y, hyper)
     measured = max(spectral_norm(grads[n] + d[n]) for n in THETA_H)
     V = linalg.ridge_pinv(params.W_hh, r)
@@ -126,7 +126,7 @@ def direction_gap(
     for t in range(tau):
         worst = 0.0
         for col in range(B):
-            M_bp, M_tp = _operator_pair(params, V, cache.hs[t + 1][:, col], eps)
+            M_bp, M_tp = _operator_pair(params, V, cache.hs[t + 1][:, col])
             worst = max(worst, spectral_norm(M_bp - M_tp))
             a_sup = max(a_sup, spectral_norm(M_bp))
             b_sup = max(b_sup, spectral_norm(M_tp))
@@ -140,11 +140,7 @@ def direction_gap(
 
 
 def layer_jacobian_gap(
-    params: rnn.RnnParams,
-    h_prev: np.ndarray,
-    x_t: np.ndarray,
-    r: float,
-    eps: float = 1e-3,
+    params: rnn.RnnParams, h_prev: np.ndarray, x_t: np.ndarray, r: float
 ) -> GapReport:
     """Single-step operator gap against its closed-form bound.
 
@@ -157,10 +153,10 @@ def layer_jacobian_gap(
     act = params.activation
     u = params.W_xh @ x_t + params.W_hh @ h_prev + params.b_h
     h = act.apply(u)
-    lo, hi = act.projected_range(eps)
+    lo, hi = act.projected_range(CLIP_MARGIN)
     if np.any(h <= lo) or np.any(h >= hi):
         raise Saturation("attained state reaches the projection clip")
-    M_bp, M_tp = _operator_pair(params, linalg.ridge_pinv(params.W_hh, r), h, eps)
+    M_bp, M_tp = _operator_pair(params, linalg.ridge_pinv(params.W_hh, r), h)
     measured = spectral_norm(M_bp - M_tp)
     s_fwd = act.deriv(h)
     p = params.p
@@ -173,15 +169,14 @@ def layer_jacobian_gap(
     return GapReport(measured=measured, bound=bound)
 
 
-def matrix_product_gap_check(As, Bs, t: int | None = None) -> GapReport:
+def matrix_product_gap_check(As, Bs) -> GapReport:
     """Perturbation bound for products of matrices.
 
     ||A_t ... A_1 - B_t ... B_1|| <= delta * sum_{i<t} a^i b^{t-1-i}, with
     a, b the sups of the factor norms and delta the sup of ||A_i - B_i||.
-    Holds for any square factors of matching size.
+    Holds for any t square factors each of As and Bs, all of one size.
     """
-    t = len(As) if t is None else t
-    As, Bs = list(As)[:t], list(Bs)[:t]
+    t = len(As)
     prod_a = As[0].copy()
     prod_b = Bs[0].copy()
     for i in range(1, t):
@@ -198,14 +193,14 @@ NOISE_MODES = ("zero", "constant", "adversarial")
 
 
 def approx_gd_check(
-    dim: int = 10,
     steps: int = 60,
     noise: str = "zero",
     eps: float = 0.0,
     seed: int = 0,
     gamma: float | None = None,
 ) -> GapReport:
-    """Gradient descent with bounded gradient errors on a random quadratic.
+    """Gradient descent with bounded gradient errors on a random quadratic
+    in 10 dimensions.
 
     Runs x_{k+1} = x_k - gamma (grad f(x_k) + e_k) with ||e_k|| <= eps on
     f(x) = x^T H x / 2 (H positive definite, minimum value 0) and checks
@@ -220,6 +215,7 @@ def approx_gd_check(
         raise ValueError(f"unknown noise mode {noise!r}, expected one of {NOISE_MODES}")
     if steps < 1:
         raise ValueError(f"need at least one step, got steps={steps}")
+    dim = 10
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, dim))
     H = G.T @ G / dim + 0.1 * np.eye(dim)
@@ -249,15 +245,13 @@ def approx_gd_check(
     return GapReport(measured=float(min_gsq), bound=bound)
 
 
-def dtp_linearization_gap(
-    params, cache, y, gamma_hs, r: float, eps: float = 1e-3
-) -> list[float]:
+def dtp_linearization_gap(params, cache, y, gamma_hs, r: float) -> list[float]:
     """Frobenius gap between the difference and linearized variants for the
     recurrent tensors, one value per gamma_h. The gap shrinks quadratically,
     so each halving of gamma_h divides it by about four."""
     gaps = []
     for gh in gamma_hs:
-        hyper = TpHyper(gamma_h=float(gh), r=r, epsilon=eps)
+        hyper = TpHyper(gamma_h=float(gh), r=r)
         fd = replace(hyper, variant=targetprop.FINITE_DIFFERENCE)
         lin = targetprop.tp_direction(params, cache, y, hyper)
         dtp = targetprop.tp_direction(params, cache, y, fd)
@@ -334,12 +328,12 @@ def _substitution_gap(d: dict, grads: dict, gamma_h: float) -> float:
 # named suites
 
 
-def suite_grad(seeds=range(5)) -> list[SuiteCheck]:
+def suite_grad() -> list[SuiteCheck]:
     out = []
     for cell, forward, bptt, shape in (
             ("rnn", rnn.forward, rnn.bptt, (10, 5, 3, 4, 3)),
             ("gru", gru_mod.gru_forward, gru_mod.gru_bptt, (3, 4, 2, 3, 3))):
-        for seed in seeds:
+        for seed in range(5):
             params, x, y = _grad_instance(cell, seed, *shape)
             grads = bptt(params, forward(params, x), y)
             rep = finite_diff_check(lambda: rnn.loss(y, forward(params, x)),
@@ -349,13 +343,13 @@ def suite_grad(seeds=range(5)) -> list[SuiteCheck]:
     return out
 
 
-def suite_equiv(seeds=range(10)) -> list[SuiteCheck]:
+def suite_equiv() -> list[SuiteCheck]:
     """With the identity activation, an orthogonal recurrent matrix and
     r = 0 the displacement direction is exactly -gamma_h times the gradient
     (and the head direction its plain negation)."""
     out = []
     gamma_h = 0.37
-    for seed in seeds:
+    for seed in range(10):
         params, cache, y = _identity_instance(seed)
         grads = rnn.bptt(params, cache, y)
         hyper = TpHyper(gamma_h=gamma_h, r=0.0)
@@ -366,14 +360,14 @@ def suite_equiv(seeds=range(10)) -> list[SuiteCheck]:
     return out
 
 
-def suite_lemma(seeds=range(20), n_products=100) -> list[SuiteCheck]:
+def suite_lemma() -> list[SuiteCheck]:
     out = []
-    for seed in seeds:
+    for seed in range(20):
         params, cache, y = _tanh_instance(seed)
         rep = direction_gap(params, cache, y, r=1.0)
         out.append(SuiteCheck("lemma", f"direction-gap-seed{seed}",
                               not rep.violation, rep.measured, rep.bound))
-    for seed in seeds:
+    for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         p, d = 6, 3
         params = _orthogonal_rnn(rng, p, d, 2, "tanh", w=1.1, wx=0.5, wy=1.0, bh=0.1)
@@ -383,7 +377,7 @@ def suite_lemma(seeds=range(20), n_products=100) -> list[SuiteCheck]:
         out.append(SuiteCheck("lemma", f"layer-gap-seed{seed}",
                               not rep.violation, rep.measured, rep.bound))
     rng = np.random.default_rng(7)
-    for i in range(n_products):
+    for i in range(100):
         n, size = 5, 6
         As = [rng.standard_normal((size, size)) for _ in range(n)]
         Bs = [A + 0.1 * rng.standard_normal((size, size)) for A in As]
@@ -396,8 +390,8 @@ def suite_lemma(seeds=range(20), n_products=100) -> list[SuiteCheck]:
 DTP_GAMMAS = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
 
 
-def suite_dtp(seed=3) -> list[SuiteCheck]:
-    params, cache, y = _tanh_instance(seed, tau=8, B=4)
+def suite_dtp() -> list[SuiteCheck]:
+    params, cache, y = _tanh_instance(3, tau=8, B=4)
     gaps = dtp_linearization_gap(params, cache, y, DTP_GAMMAS, r=1.0)
     out = []
     for i in range(len(gaps) - 1):
@@ -407,10 +401,10 @@ def suite_dtp(seed=3) -> list[SuiteCheck]:
     return out
 
 
-def suite_gru(seeds=range(5)) -> list[SuiteCheck]:
+def suite_gru() -> list[SuiteCheck]:
     out = []
     gamma_h = 0.01
-    for seed in seeds:
+    for seed in range(5):
         params, x, y = _grad_instance("gru", seed, 6, 5, 3, 3, 3)
         cache = gru_mod.gru_forward(params, x)
         grads = gru_mod.gru_bptt(params, cache, y)
@@ -426,9 +420,9 @@ def suite_gru(seeds=range(5)) -> list[SuiteCheck]:
     return out
 
 
-def suite_approx_gd(seeds=range(50)) -> list[SuiteCheck]:
+def suite_approx_gd() -> list[SuiteCheck]:
     out = []
-    for seed in seeds:
+    for seed in range(50):
         for noise, eps in (("zero", 0.0), ("constant", 0.01), ("adversarial", 0.01)):
             rep = approx_gd_check(noise=noise, eps=eps, seed=seed)
             out.append(SuiteCheck("approx-gd", f"{noise}-seed{seed}",

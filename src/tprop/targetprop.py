@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rnn
+from .activations import CLIP_MARGIN
 
 # Each rule is named as ``tprop train --method`` names it.
 LINEARIZED = "tp"
@@ -72,7 +73,7 @@ class TpHyper:
     gamma_h: float = 1e-2
     gamma_theta: float = 1e-1
     r: float = 1.0
-    epsilon: float = 1e-3
+    epsilon: float = CLIP_MARGIN
     variant: str = LINEARIZED
 
     def __post_init__(self):
@@ -86,7 +87,7 @@ def inverse_apply(
     V: np.ndarray,
     x_t: np.ndarray,
     v_t: np.ndarray,
-    eps: float = 1e-3,
+    eps: float = CLIP_MARGIN,
 ) -> np.ndarray:
     """Regularized inverse of the step-t transition, applied to target v_t.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gru as gru_mod
 from . import fanout, rnn, targetprop, tasks
-from .activations import ACTIVATIONS
+from .activations import ACTIVATIONS, CLIP_MARGIN
 from .linalg import SingularSystem
 
 BP = "bp"
@@ -73,10 +73,10 @@ class ExperimentConfig:
     activation: str = _setting("tanh", "activation of the rnn cell", tuple(ACTIVATIONS))
     method: str = _setting(targetprop.LINEARIZED, "training method", METHODS)
     gamma: float = _setting(1e-3, "bp stepsize")
-    gamma_h: float = _setting(1e-2, "tp target stepsize")
+    gamma_h: float = _setting(targetprop.TpHyper.gamma_h, "tp target stepsize")
     gamma_theta: float = _setting(1e-1, "tp parameter stepsize")
-    r: float = _setting(1.0, "ridge coefficient of the inverses")
-    epsilon: float = _setting(1e-3, "projection clip margin")
+    r: float = _setting(targetprop.TpHyper.r, "ridge coefficient of the inverses")
+    epsilon: float = _setting(CLIP_MARGIN, "projection clip margin")
     momentum: float = _setting(0.9, "bp Nesterov momentum; 0 disables")
     batch: int = _setting(20, "sequences per batch")
     iters: int = _setting(10000, "training iterations")
@@ -181,10 +181,10 @@ class MetricsLog:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
-    def running_accuracy(self, window: int = ACC_WINDOW) -> float:
+    def running_accuracy(self) -> float:
         if not self.accs:
             return 0.0
-        return float(np.mean(self.accs[-window:]))
+        return float(np.mean(self.accs[-ACC_WINDOW:]))
 
     def to_csv(self, path) -> None:
         eval_at = dict(zip(self.eval_iters, self.eval_accs))

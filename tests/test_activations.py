@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tprop import rnn
 from tprop.activations import ACTIVATIONS, get_activation
 
 TANH = ACTIVATIONS["tanh"]
@@ -136,3 +137,11 @@ def test_get_activation_rejects_unknown():
         with pytest.raises(ValueError, match=r"expected one of \['identity', 'sigmoid', 'tanh'\]"):
             get_activation(name)
     assert get_activation("tanh") is TANH
+
+
+def test_params_repr_names_the_activation_and_is_stable():
+    # a dataclass repr of a parameter record shows its activation by class,
+    # not by object address, so two builds read the same
+    first, second = (rnn.init_params(3, 2, 2, "tanh", rnn.SOFTMAX_CE, 0) for _ in range(2))
+    assert "activation=Tanh()" in repr(first)
+    assert repr(first) == repr(second)

@@ -549,6 +549,16 @@ def test_plot_of_a_one_row_log_centres_its_point(tmp_path):
     assert {"2.5", "3.5", "0.2", "1.2"} <= set(texts)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_plot_of_a_constant_huge_loss_centres_it(tmp_path, rows):
+    # at 1e20 a +-0.5 widening rounds away; the span must still be nonempty
+    csv_path, svg_path = tmp_path / "m.csv", tmp_path / "p.svg"
+    csv_path.write_text("iter,loss,acc,wall_ms\n" + "0,1e20,0.5,1.0\n" * rows)
+    assert main(["plot", "--in", str(csv_path), "--out", str(svg_path)]) == EXIT_OK
+    [line] = ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    assert {pt.split(",")[1] for pt in line.get("points").split()} == {"202.00"}
+
+
 def test_heatmap_of_an_incomplete_grid_draws_only_its_cells(tmp_path):
     path = tmp_path / "heat.svg"
     cells = [trainer.GridCell(0.1, 1.0, 2.0, False), trainer.GridCell(1.0, 10.0, 3.0, False)]

@@ -191,7 +191,7 @@ def test_bptt_matches_finite_differences(rng):
         return loss(y, gru_forward(params, xs))
 
     grads = gru_bptt(params, gru_forward(params, xs), y)
-    report = finite_diff_check(loss_fn, params.tensors(), grads, step=1e-5)
+    report = finite_diff_check(loss_fn, params.tensors(), grads)
     assert report.max_rel_err <= 1e-4
 
 

@@ -122,3 +122,30 @@ def test_every_private_module_name_is_referenced():
                 read.add(node.attr)
     dead = [f"{where} {name}" for name, where in defined if name not in read]
     assert not dead, dead
+
+
+def test_every_private_function_default_is_set_by_a_caller():
+    # A defaulted parameter of a module-level private function in src/tprop
+    # must be passed, by keyword or by position, at some call site in
+    # src/tprop: a default that no caller overrides is a constant.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(tprop.__file__).parent.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if (not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_")
+                    or fn.name.startswith("__")):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            defaulted = list(enumerate(a.arg for a in args))[len(args) - len(fn.args.defaults):]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            sites = [c for c in calls
+                     if getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            for pos, name in defaulted:
+                if not any(any(k.arg == name for k in c.keywords)
+                           or (pos is not None and len(c.args) > pos) for c in sites):
+                    unset.append(f"{module}:{fn.lineno} {fn.name}({name})")
+    assert not unset, unset

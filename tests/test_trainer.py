@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprop import gru, rnn, targetprop, tasks, trainer
+from tprop.activations import CLIP_MARGIN
 from tprop.cli import bench_point
 from tprop.targetprop import TpHyper, tp_direction
 from tprop.tasks import gen_temporal_order
@@ -364,6 +365,12 @@ def test_accuracy_recount_on_saved_batch():
     assert classification_accuracy(wrong, batch.labels) == 0.0
 
 
+def test_config_and_tp_hyper_share_their_tp_defaults():
+    cfg, hyper = ExperimentConfig(), TpHyper()
+    assert (cfg.gamma_h, cfg.r, cfg.epsilon) == (hyper.gamma_h, hyper.r, hyper.epsilon)
+    assert cfg.epsilon == hyper.epsilon == CLIP_MARGIN
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(T=33, gamma_h=0.004, method="tp-dtp", permute=True, momentum=0.85)
     path = tmp_path / "run.cfg"
@@ -509,14 +516,17 @@ def test_metrics_csv_names_the_line_of_a_malformed_row(tmp_path, body, named):
 
 
 def test_running_accuracy_window():
+    # the mean of the last ACC_WINDOW accuracies, or of all of a shorter log
+    w = trainer.ACC_WINDOW
     log = MetricsLog()
-    for i in range(150):
+    for i in range(w + 50):
         log.iters.append(i)
         log.losses.append(1.0)
         log.accs.append(1.0 if i >= 50 else 0.0)
         log.wall_ms.append(0.1)
-    npt.assert_allclose(log.running_accuracy(window=100), 1.0, atol=0)
-    npt.assert_allclose(log.running_accuracy(window=150), 100 / 150, rtol=1e-12)
+        if len(log.accs) == w - 25:
+            npt.assert_allclose(log.running_accuracy(), (w - 75) / (w - 25), rtol=1e-12)
+    npt.assert_allclose(log.running_accuracy(), 1.0, atol=0)
 
 
 def test_stop_at_acc_halts_early():
