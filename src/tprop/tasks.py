@@ -48,7 +48,8 @@ class IndivisibleChunk(ValueError):
 
 
 class BadHeader(ValueError):
-    """IDX header announces a non-positive record count or image size."""
+    """IDX header announces a non-positive record count or image size, or
+    a test split whose image size is not the training split's."""
 
 
 @dataclass
@@ -167,14 +168,20 @@ def load_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
+def _image_header(f, path) -> tuple[int, int, int]:
+    """The image count, height and width in an IDX images file's header."""
+    magic, n, h, w = _read_header(f, path, ">iiii")
+    if magic != IMAGES_MAGIC:
+        raise BadMagic(f"{path}: magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
+    return n, h, w
+
+
 def load_idx(images_path, labels) -> ImageDataset:
     """Read an IDX image/label pair; the images are a read-only uint8 view
     of the file's pixel bytes, with no float copy. ``labels`` is the labels
     file, or the ids :func:`load_labels` already read from it."""
     with open(images_path, "rb") as f:
-        magic, n, h, w = _read_header(f, images_path, ">iiii")
-        if magic != IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
+        n, h, w = _image_header(f, images_path)
         raw = _read_exact(f, n * h * w, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
     if not isinstance(labels, np.ndarray):
@@ -254,22 +261,33 @@ class SyntheticTask:
 class PixelTask:
     """Training images in epochs: ``_order`` is the epoch's shuffle of the
     rows and ``_cursor`` the first row not yet taken. :meth:`sample` draws
-    the next shuffle from its rng when less than a batch is left over."""
+    the next shuffle from its rng when less than a batch is left over.
+    ``paths`` are the four IDX files, the training images and labels (which
+    ``train`` holds) then the test split's."""
 
     has_test_split = True
 
-    def __init__(self, train: ImageDataset, test_paths, batch: int, k: int,
+    def __init__(self, train: ImageDataset, paths, batch: int, k: int,
                  permutation: np.ndarray | None = None):
-        self.train, self._test_paths = train, tuple(test_paths)
+        self.train, self._test_paths = train, tuple(paths[2:])
         self.batch, self.d, self.permutation = batch, k, permutation
         self.n_out = int(train.labels.max()) + 1
         self.output_kind = SOFTMAX_CE
         self._order, self._cursor = np.arange(0), 0  # no epoch drawn yet
         # checked at build, before a run spends iterations on a split it cannot score
-        self._test_labels = load_labels(self._test_paths[1])
+        images, labels = self._test_paths
+        self._test_labels = load_labels(labels)
         if self._test_labels.max(initial=0) >= self.n_out:
-            raise LabelMismatch(f"{self._test_paths[1]}: label {self._test_labels.max()} "
+            raise LabelMismatch(f"{labels}: label {self._test_labels.max()} "
                                 f"outside the training split's {self.n_out} classes")
+        with open(images, "rb") as f:
+            n, h, w = _image_header(f, images)
+        if n != self._test_labels.size:
+            raise CountMismatch(f"{images}: {n} images but {labels} has "
+                                f"{self._test_labels.size} labels")
+        if (h, w) != train.images.shape[1:]:
+            raise BadHeader(f"{images}: {h}x{w} images, but {paths[0]} has "
+                            f"{train.images.shape[1]}x{train.images.shape[2]}")
 
     @functools.cached_property
     def test(self) -> ImageDataset:

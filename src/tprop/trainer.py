@@ -248,8 +248,8 @@ def build_task(cfg: ExperimentConfig):
     """The task ``cfg`` trains on; the one place a config meets its data.
     Pixels need ``data_dir`` (or $TPROP_DATA_DIR) holding the four IDX
     files, a batch no larger than the training split and a k dividing the
-    image, else ConfigError. The test split's labels are checked here (see
-    PixelTask), its images read on first evaluation."""
+    image, else ConfigError. The test split's labels and image header are
+    checked here (see PixelTask), its images read on first evaluation."""
     if cfg.task != "pixels":
         return tasks.SyntheticTask(cfg.task, cfg.T, cfg.batch)
     root = cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")
@@ -267,7 +267,7 @@ def build_task(cfg: ExperimentConfig):
     if train.pixels % cfg.k != 0:
         raise ConfigError(f"k={cfg.k} does not divide {train.pixels} pixels")
     permutation = tasks.fixed_permutation(cfg.perm_seed, train.pixels) if cfg.permute else None
-    return tasks.PixelTask(train, paths[2:], cfg.batch, cfg.k, permutation)
+    return tasks.PixelTask(train, paths, cfg.batch, cfg.k, permutation)
 
 
 def init_model(cfg: ExperimentConfig, task, seed: int):
@@ -304,8 +304,8 @@ def cell_passes(params):
 
 def descent(params, cfg: ExperimentConfig):
     """``train``'s update under cfg's method as (step, stepsize, momentum):
-    the BPTT gradient with gamma and momentum, or the negated TP direction
-    of the method's rule (gamma_h, r, epsilon) with gamma_theta and none.
+    the BPTT gradient with gamma and momentum, or the TP direction of the
+    method's rule (gamma_h, r, epsilon) with -gamma_theta and none.
     ``step(params, cache, y)`` reads its passes through :func:`cell_passes`
     when this is called."""
     _, bptt, tp_backward = cell_passes(params)
@@ -313,8 +313,7 @@ def descent(params, cfg: ExperimentConfig):
         return bptt, cfg.gamma, cfg.momentum
     hyper = targetprop.TpHyper(gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon,
                                variant=cfg.method)
-    return (lambda *a: {k: -v for k, v in tp_backward(*a, hyper).items()},
-            cfg.gamma_theta, 0.0)
+    return lambda *a: tp_backward(*a, hyper), -cfg.gamma_theta, 0.0
 
 
 def evaluate(params, task, n_batches: int, rng: np.random.Generator | None) -> float:

@@ -65,3 +65,15 @@ def test_setup_probe_sees_the_first_batch(perfbench, tmp_path, workload):
         [sys.executable, str(Path(PERFBENCH) / "setup_probe.py"), workload, "0", str(tmp_path)],
         capture_output=True, text=True, timeout=120, check=True)
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["first-batch"]
+
+
+def test_every_config_perfbench_trains_validates(perfbench):
+    # The benchmark trains these configs by method and setting name: a
+    # library change that drops one fails here, not in a benchmark run.
+    import configs
+
+    runs = [configs.order20(method, 0) for method in ("tp", "bp")]
+    runs += [configs.pixel(model, method, 0, "idx") for model, method in configs.PIXEL_PAIRS]
+    runs += [configs.grid_base(0), *(configs.grid_chunk(method, 0) for method in ("tp", "bp"))]
+    for cfg in runs:
+        cfg.validate()

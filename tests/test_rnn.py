@@ -64,7 +64,7 @@ def test_forward_shapes_at_experiment_scale(rng):
     params = init_params(100, 6, 4, seed=1)
     xs = rng.standard_normal((60, 6, 20))
     cache = forward(params, xs)
-    assert cache.tau == 60 and cache.batch == 20
+    assert cache.tau == 60 and cache.xs.shape[2] == 20
     assert len(cache.hs) == 61
     for h in cache.hs[1:]:
         assert h.shape == (100, 20)

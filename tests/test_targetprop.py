@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tprop import gru, rnn
+from tprop import gru, rnn, targetprop
 from tprop.activations import ACTIVATIONS
 from tprop.linalg import factorization_count, ridge_pinv
 from tprop.rnn import (
@@ -354,6 +354,32 @@ def test_tp_direction_peak_in_block_buffers(rng, traced_peak, variant, bound):
             hy = hyper(variant=variant)
             peak = traced_peak(lambda: tp_direction(params, cache, y, hy))
     assert peak <= bound * _BLOCK * p * B * 8, peak / (_BLOCK * p * B * 8)
+
+
+def test_the_displacement_is_flushed_before_it_goes_subnormal(monkeypatch):
+    # At r = 10 the linearized displacement shrinks by up to ||V||_2 <= 1/(2
+    # sqrt(10)) a step and underflows long before step 1 of a 784-step pass.
+    # The flush at the block edges hands every step a displacement of normal
+    # size or exact zeros, never a subnormal one, which x86 runs slowly.
+    real, seen = targetprop._propagator, []
+
+    def spying(*args):
+        per_block = real(*args)
+
+        def blockwise(lo, hi, es):
+            step = per_block(lo, hi, es)
+            return lambda i, lam: seen.append(np.abs(lam)) or step(i, lam)
+        return blockwise
+
+    monkeypatch.setattr(targetprop, "_propagator", spying)
+    params = init_params(100, 1, 10, seed=0)
+    rng = np.random.default_rng(0)
+    x = 0.5 * rng.standard_normal((784, 1, 4))
+    tp_direction(params, forward(params, x), rng.integers(0, 10, 4), hyper(r=10.0))
+    assert len(seen) == 783
+    tiny = np.finfo(np.float64).tiny  # 2^-1022, the least normal double
+    assert not [t for t, a in enumerate(seen) if ((a > 0) & (a < tiny)).any()]
+    assert not seen[-1].any()  # the flush fired: the first steps see exact zeros
 
 
 def test_backward_targets_equivalence_in_linear_orthogonal_regime(rng):

@@ -166,6 +166,55 @@ def test_one_tp_iteration_applies_direction_exactly():
         assert tensor.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("model, method", [("rnn", "tp"), ("rnn", "tp-dtp"),
+                                           ("rnn", "tp-exact"), ("gru", "tp")])
+def test_descent_steps_along_the_tp_direction(model, method):
+    # The step is the TP backward pass itself, its direction d unnegated,
+    # taken with stepsize -gamma_theta and no momentum: one iteration lands
+    # on theta + gamma_theta * d, bit for bit.
+    cfg = small_config(model=model, method=method, iters=1, gamma_theta=0.25, r=2.0)
+    init = fresh_model(cfg)
+    _, s_data = np.random.SeedSequence(cfg.seed).spawn(2)
+    batch = build_task(cfg).sample(np.random.default_rng(s_data))
+    forward, _, tp_backward = trainer.cell_passes(init)
+    cache = forward(init, batch.inputs)
+    d = tp_backward(init, cache, batch.labels,
+                    TpHyper(gamma_h=cfg.gamma_h, r=cfg.r, epsilon=cfg.epsilon, variant=method))
+    step, stepsize, momentum = trainer.descent(init, cfg)
+    assert (stepsize, momentum) == (-cfg.gamma_theta, 0.0)
+    assert {k: v.tobytes() for k, v in step(init, cache, batch.labels).items()} == {
+        k: v.tobytes() for k, v in d.items()}
+    res = train(cfg, params=copy.deepcopy(init))
+    for name, tensor in res.params.tensors().items():
+        want = init.tensors()[name] + cfg.gamma_theta * d[name]
+        assert tensor.tobytes() == want.tobytes(), name
+
+
+def test_a_nan_displacement_reaches_the_direction_and_train_diverges(monkeypatch):
+    # The engine flushes a vanishing displacement to zeros at each block
+    # edge, but never a NaN one: poisoned at the edge t = 28 of a 60-step
+    # pass, every recurrent entry turns NaN, and the next loss marks the run.
+    real = targetprop._propagator
+
+    def poisoning(*args):
+        per_block = real(*args)
+
+        def blockwise(lo, hi, es):
+            step = per_block(lo, hi, es)
+            return lambda i, lam: np.full_like(lam, np.nan) if lo + i == 28 else step(i, lam)
+        return blockwise
+
+    monkeypatch.setattr(targetprop, "_propagator", poisoning)
+    cfg = small_config(T=60, r=10.0, iters=3)
+    assert 28 in rnn._edges(cfg.T)
+    init = fresh_model(cfg)
+    batch = build_task(cfg).sample(np.random.default_rng(0))
+    d = tp_direction(init, rnn.forward(init, batch.inputs), batch.labels, TpHyper(r=cfg.r))
+    for name in ("W_xh", "W_hh", "b_h"):
+        assert np.isnan(d[name]).all(), name
+    assert train(cfg, params=init).log.diverged_at == 1
+
+
 def test_divergence_truncates_log_with_marker():
     # MSE blows up multiplicatively under a huge stepsize; CE on tanh would not
     cfg = small_config(task="adding", T=12, method="bp", gamma=1e8, iters=300, momentum=0.0)
@@ -688,6 +737,29 @@ def test_pixel_test_labels_past_the_training_classes_raise(tmp_path):
                 lambda: train(dataclasses.replace(cfg, eval_every=1))):
         with pytest.raises(rnn.LabelMismatch, match="t10k-labels-idx1-ubyte"):
             run()
+
+
+def test_pixel_test_images_that_do_not_fit_the_training_split_raise_at_build(tmp_path):
+    # The t10k images' header is read when the task is built, its payload
+    # left for the first evaluation: another image size (whatever k), more
+    # labels than images, or a wrong magic raises before any iteration.
+    rng = np.random.default_rng(3)
+    write_idx_set(tmp_path, 40, 20, rng)
+    images, labels = tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte"
+    write_idx_pair(images, labels, rng.integers(0, 256, (20, 20, 20), np.uint8),
+                   np.zeros(20, np.uint8))
+    for k in (1, 28):
+        cfg = small_config(task="pixels", k=k, data_dir=str(tmp_path), eval_every=500)
+        with pytest.raises(tasks.BadHeader, match=r"t10k-images-idx3-ubyte: 20x20 images, "
+                                                  r"but \S*train-images-idx3-ubyte has 28x28"):
+            build_task(cfg)
+    write_idx_pair(images, labels, rng.integers(0, 256, (10, 28, 28), np.uint8),
+                   np.zeros(12, np.uint8))
+    with pytest.raises(tasks.CountMismatch, match=r"10 images but \S*t10k-labels\S* has 12"):
+        build_task(cfg)
+    images.write_bytes(struct.pack(">iiii", 0x801, 12, 28, 28) + bytes(12 * 784))
+    with pytest.raises(tasks.BadMagic, match="t10k-images"):
+        build_task(cfg)
 
 
 def pixel_task(directory, n, batch):
